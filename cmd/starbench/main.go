@@ -24,6 +24,12 @@
 //
 //	go run ./cmd/starbench -suite bounds -out BENCH_bounds.json
 //
+// -suite predict measures a /v1/predict cache miss layer by layer
+// (model.Evaluate on S4–S7, the interned topology lookup, the graph
+// build a table miss pays), written to BENCH_predict.json:
+//
+//	go run ./cmd/starbench -suite predict -out BENCH_predict.json
+//
 // The output is machine-shaped (ns/op varies across hosts) but
 // structurally stable: no timestamps or host details, so diffs show
 // only the measured numbers. The observer_overhead_pct field is the
@@ -101,7 +107,7 @@ func measure(cfg desim.Config) (row, error) {
 
 func main() {
 	out := flag.String("out", "", "output path (- for stdout; default BENCH_<suite>.json)")
-	suite := flag.String("suite", "sim", "benchmark suite: sim, serve or journal")
+	suite := flag.String("suite", "sim", "benchmark suite: sim, serve, journal, bounds or predict")
 	flag.Parse()
 
 	switch *suite {
@@ -123,12 +129,18 @@ func main() {
 		}
 		runBoundsSuite(*out)
 		return
+	case "predict":
+		if *out == "" {
+			*out = "BENCH_predict.json"
+		}
+		runPredictSuite(*out)
+		return
 	case "sim":
 		if *out == "" {
 			*out = "BENCH_sim.json"
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "starbench: unknown suite %q (want sim, serve, journal or bounds)\n", *suite)
+		fmt.Fprintf(os.Stderr, "starbench: unknown suite %q (want sim, serve, journal, bounds or predict)\n", *suite)
 		os.Exit(1)
 	}
 

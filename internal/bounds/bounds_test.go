@@ -326,3 +326,22 @@ func TestLoadEnumeration(t *testing.T) {
 		t.Fatalf("deepest hop position %d, diameter %d", maxPos, top.Diameter())
 	}
 }
+
+// TestEvaluateAllocs gates the bounds engine's allocation count: the
+// per-pair path walk queries the topology without allocating, so one
+// S5 evaluation allocates only its per-channel tables.
+func TestEvaluateAllocs(t *testing.T) {
+	g, err := stargraph.New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseCfg(g)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Evaluate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("Evaluate S5 allocates %v times, want ≤ 100", allocs)
+	}
+}

@@ -1,7 +1,8 @@
 // Package cache is the two-tier content-addressed result store of the
 // serving layer: an in-memory LRU with byte-size accounting in front
 // of an optional on-disk JSON store, both keyed by the job content
-// hash (internal/jobs.Hash).
+// hash (internal/jobs.Hash). The memory tier keeps its bytes off the
+// Go heap, in mmap'd size-classed slabs (slab.go).
 //
 // Content addressing is what turns caching into a correctness-neutral
 // optimisation here: a key is a pure function of the canonicalised
@@ -23,8 +24,8 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"starperf/internal/cfgerr"
@@ -48,22 +49,16 @@ type Config struct {
 	FS fsx.FS
 }
 
-// entry is one memory-tier element.
-type entry struct {
-	key string
-	val []byte
-}
-
 // Cache is a two-tier content-addressed byte store, safe for
-// concurrent use.
+// concurrent use. mu guards the memory tier and the counters; the
+// mappings behind the memory tier are made and released outside it.
 type Cache struct {
 	mu    sync.Mutex
 	max   int64
 	dir   string
 	fs    fsx.FS
-	ll    *list.List // front = most recently used
-	index map[string]*list.Element
-	bytes int64
+	mem   *slabs
+	bytes int64 // value bytes in the memory tier
 
 	memHits     uint64
 	diskHits    uint64
@@ -91,23 +86,20 @@ func New(cfg Config) (*Cache, error) {
 			return nil, fmt.Errorf("cache: creating %s: %w", cfg.Dir, err)
 		}
 	}
-	return &Cache{
-		max:   cfg.MaxBytes,
-		dir:   cfg.Dir,
-		fs:    cfg.FS,
-		ll:    list.New(),
-		index: make(map[string]*list.Element),
-	}, nil
+	c := &Cache{max: cfg.MaxBytes, dir: cfg.Dir, fs: cfg.FS, mem: newSlabs()}
+	// A dropped Cache hands its mappings back once collected.
+	runtime.SetFinalizer(c, func(c *Cache) { unmapMem(c.mem.releaseAll()) })
+	return c, nil
 }
 
 // Get returns a copy of the value stored under key. A memory miss
 // falls through to the disk tier; a disk hit is promoted into memory.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
-	if el, ok := c.index[key]; ok {
-		c.ll.MoveToFront(el)
+	if id := c.mem.lookup(c.mem.hash(key), key); id >= 0 {
+		c.mem.touch(id)
 		c.memHits++
-		out := append([]byte(nil), el.Value.(*entry).val...)
+		out := append([]byte(nil), c.mem.value(id)...)
 		c.mu.Unlock()
 		return out, true
 	}
@@ -121,18 +113,15 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		c.count(&c.misses)
 		return nil, false
 	}
-	c.mu.Lock()
-	c.diskHits++
-	c.insertLocked(key, val)
-	c.mu.Unlock()
-	return append([]byte(nil), val...), true
+	c.store(key, val, &c.diskHits)
+	return val, true
 }
 
 // Contains reports whether key is resident in either tier without
 // touching recency or the hit/miss counters.
 func (c *Cache) Contains(key string) bool {
 	c.mu.Lock()
-	_, ok := c.index[key]
+	ok := c.mem.lookup(c.mem.hash(key), key) >= 0
 	c.mu.Unlock()
 	if ok || c.dir == "" {
 		return ok
@@ -144,15 +133,11 @@ func (c *Cache) Contains(key string) bool {
 // idempotent — content addressing means a re-put of the same key
 // carries the same bytes.
 func (c *Cache) Put(key string, val []byte) {
-	cp := append([]byte(nil), val...)
-	c.mu.Lock()
-	c.puts++
-	c.insertLocked(key, cp)
-	c.mu.Unlock()
+	c.store(key, val, &c.puts)
 	if c.dir == "" {
 		return
 	}
-	if err := c.writeFile(key, cp); err != nil {
+	if err := c.writeFile(key, val); err != nil {
 		c.count(&c.diskErrors)
 		return
 	}
@@ -164,8 +149,9 @@ func (c *Cache) Stats() obs.CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return obs.CacheStats{
-		Entries:     c.ll.Len(),
+		Entries:     c.mem.live,
 		Bytes:       c.bytes,
+		MappedBytes: c.mem.mapped,
 		MaxBytes:    c.max,
 		MemHits:     c.memHits,
 		DiskHits:    c.diskHits,
@@ -178,31 +164,92 @@ func (c *Cache) Stats() obs.CacheStats {
 	}
 }
 
-// insertLocked stores val under key in the memory tier and evicts
-// from the LRU tail until the byte bound holds. A value larger than
-// the whole bound evicts itself immediately: it is served from disk
-// (when configured) rather than monopolising memory.
-func (c *Cache) insertLocked(key string, val []byte) {
-	if el, ok := c.index[key]; ok {
-		e := el.Value.(*entry)
-		c.bytes += int64(len(val)) - int64(len(e.val))
-		e.val = val
-		c.ll.MoveToFront(el)
-	} else {
-		c.index[key] = c.ll.PushFront(&entry{key: key, val: val})
-		c.bytes += int64(len(val))
-	}
-	for c.bytes > c.max {
-		back := c.ll.Back()
-		if back == nil {
-			break
+// store copies val into the memory tier under key as the most
+// recently used entry, bumping counter, and evicts from the LRU tail
+// until the byte bound holds. A value larger than the whole bound
+// evicts every entry and then itself: it is served from disk (when
+// configured) rather than monopolising memory.
+//
+// When no slot of the entry's size class is free, store drops the
+// lock, maps a chunk and retries; mappings the store no longer needs
+// are released after the lock is dropped, so no system call ever runs
+// under c.mu.
+func (c *Cache) store(key string, val []byte, counter *uint64) {
+	class := classFor(len(key) + len(val))
+	var spare []byte // a chunk mapped while the lock was dropped
+	var drop [][]byte
+	defer func() {
+		if spare != nil {
+			drop = append(drop, spare)
 		}
-		e := back.Value.(*entry)
-		c.ll.Remove(back)
-		delete(c.index, e.key)
-		c.bytes -= int64(len(e.val))
+		unmapMem(drop)
+	}()
+	for {
+		c.mu.Lock()
+		if int64(len(val)) > c.max {
+			*counter++
+			drop = c.flushLocked(key)
+			c.mu.Unlock()
+			return
+		}
+		at, ok := c.mem.reserve(class)
+		if !ok && spare != nil {
+			at, ok = c.mem.adopt(spare, class), true
+			spare = nil
+		}
+		if ok {
+			*counter++
+			drop = c.insertLocked(key, val, at)
+			c.mu.Unlock()
+			return
+		}
+		c.mu.Unlock()
+		if spare = mapMem(mappingSize(class, len(key)+len(val))); spare == nil {
+			c.count(counter) // no memory to map: the entry stays disk-only
+			return
+		}
+	}
+}
+
+// insertLocked links val under key into the reserved slot at,
+// replacing any previous entry, and evicts until the byte bound
+// holds. It returns the mappings to release.
+func (c *Cache) insertLocked(key string, val []byte, at slotRef) [][]byte {
+	var drop [][]byte
+	h := c.mem.hash(key)
+	if id := c.mem.lookup(h, key); id >= 0 {
+		c.bytes -= int64(c.mem.ents[id].vlen)
+		drop = appendMapping(drop, c.mem.remove(id))
+	}
+	c.mem.insert(h, key, val, at)
+	c.bytes += int64(len(val))
+	for c.bytes > c.max {
+		id := c.mem.tail
+		c.bytes -= int64(c.mem.ents[id].vlen)
+		drop = appendMapping(drop, c.mem.remove(id))
 		c.evictions++
 	}
+	return drop
+}
+
+// flushLocked is insertLocked for a value larger than the bound: the
+// entry would evict everything behind it and then itself, so the
+// memory tier empties and every entry counts as evicted.
+func (c *Cache) flushLocked(key string) [][]byte {
+	n := c.mem.live
+	if c.mem.lookup(c.mem.hash(key), key) < 0 {
+		n++
+	}
+	c.evictions += uint64(n)
+	c.bytes = 0
+	return c.mem.releaseAll()
+}
+
+func appendMapping(drop [][]byte, m []byte) [][]byte {
+	if m == nil {
+		return drop
+	}
+	return append(drop, m)
 }
 
 // count bumps one counter under the lock.

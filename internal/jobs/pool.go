@@ -565,6 +565,12 @@ func (p *Pool) runOne(j *Job) (any, error) {
 	}()
 	select {
 	case oc := <-done:
+		// When the computation finishes after its deadline, both cases
+		// can be ready and select picks at random: the deadline wins,
+		// so a bounded job's outcome does not depend on scheduling.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		return oc.result, oc.err
 	case <-ctx.Done():
 		return nil, ctx.Err()

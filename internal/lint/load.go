@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -148,6 +149,14 @@ func (l *Loader) loadDir(path, dir string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		// Honour build constraints as the go tool does, so a file
+		// pair split by //go:build (one per platform) type-checks as
+		// the one the build would pick.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -287,6 +287,23 @@ func BenchmarkEvaluateS5(b *testing.B) {
 	}
 }
 
+// TestEvaluateAllocs gates the miss path's allocation count: with the
+// path plan compiled at construction, one S5 evaluation allocates a
+// handful of slices per fixed-point iteration and nothing per hop.
+func TestEvaluateAllocs(t *testing.T) {
+	sp, _ := NewStarPaths(5)
+	g := stargraph.MustNew(5)
+	cfg := Config{Paths: sp, Top: g, Kind: routing.EnhancedNbc, V: 6, MsgLen: 32, Rate: 0.01}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Evaluate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 150 {
+		t.Fatalf("Evaluate S5 allocates %v times, want ≤ 150", allocs)
+	}
+}
+
 func BenchmarkEvaluateS7(b *testing.B) {
 	sp, _ := NewStarPaths(7)
 	g := stargraph.MustNew(7)

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"sync"
 
 	"starperf/internal/cfgerr"
 	"starperf/internal/hypercube"
@@ -68,97 +69,176 @@ func hopNegAt(c0, k int) bool { return (c0+(k-1))&1 == 1 }
 // sums are computed by dynamic programming over the type-transition
 // graph instead of enumerating the (potentially exponential) set of
 // minimal paths. Both views agree exactly; see TestDPMatchesExact.
+//
+// The dynamic program depends only on n, so NewStarPaths compiles it
+// once per class into a flat post-order plan and BlockSum is a single
+// allocation-free loop over that plan. A *StarPaths is read-only after
+// construction and safe for concurrent use.
 type StarPaths struct {
 	n       int
 	classes []PathClass
 	types   []ctype
-	// pathCount memoises the number of minimal paths per type key.
-	pathCount map[string]float64
+	// numPaths is the number of minimal paths per class.
+	numPaths []float64
+	// plans[idx] spans the steps of class idx's plan; the last step is
+	// the class's own type.
+	plans []span
+	steps []planStep
+	kids  []planKid
 }
 
-// NewStarPaths builds the path structure of S_n. It validates the
-// combinatorial type table against the closed-form distance
-// distribution.
+// span is a half-open index range into StarPaths.steps or .kids.
+type span struct{ lo, hi int32 }
+
+// planStep is one cycle type reachable from a class root: the hop it
+// is at for either source colour and its weighted successor types.
+type planStep struct {
+	hop  [2]Hop // indexed by the source colour c0
+	kids span
+}
+
+// planKid is one transition out of a step: the successor's value slot
+// (slot 0 is the identity, whose remaining sum is 0; slot i+1 holds
+// step i of the plan) and its share mult·paths(to)/paths(from) of the
+// step's minimal paths.
+type planKid struct {
+	slot int32
+	w    float64
+}
+
+// maxPlanSteps bounds a plan's length: S_12 has 195 cycle types (with
+// position 1's cycle marked), identity included.
+const maxPlanSteps = 255
+
+// starPathsMemo holds the one StarPaths per n that NewStarPaths hands
+// out: all of S_2..S_12 together take about 1 MiB.
+var starPathsMemo [13]struct {
+	once sync.Once
+	sp   *StarPaths
+	err  error
+}
+
+// NewStarPaths returns the path structure of S_n. It is built on
+// first use — validating the combinatorial type table against the
+// closed-form distance distribution and compiling every class's
+// dynamic program — and shared by every later caller.
 func NewStarPaths(n int) (*StarPaths, error) {
 	if n < 2 || n > 12 {
 		return nil, cfgerr.Errorf("model: star paths for n=%d outside [2,12]", n)
 	}
+	m := &starPathsMemo[n]
+	m.once.Do(func() { m.sp, m.err = buildStarPaths(n) })
+	return m.sp, m.err
+}
+
+// buildStarPaths builds the path structure of S_n, 2 ≤ n ≤ 12.
+func buildStarPaths(n int) (*StarPaths, error) {
 	all := enumerateTypes(n)
 	if err := checkTypeTable(n, all); err != nil {
 		return nil, err
 	}
-	sp := &StarPaths{n: n, pathCount: make(map[string]float64)}
+	sp := &StarPaths{n: n}
+	counts := make(map[string]float64)
 	for _, c := range all {
 		if c.t.isTerminal() {
 			continue // the source itself is not a destination
 		}
 		sp.classes = append(sp.classes, PathClass{H: c.h, Count: c.count, Label: c.t.key()})
 		sp.types = append(sp.types, c.t)
+		sp.numPaths = append(sp.numPaths, pathCount(c.t, counts))
+		sp.compile(c.t, c.h, counts)
 	}
 	return sp, nil
+}
+
+// pathCount returns the number of minimal paths from a permutation of
+// type t to the identity, memoised in counts by type key.
+func pathCount(t ctype, counts map[string]float64) float64 {
+	if t.isTerminal() {
+		return 1
+	}
+	k := t.key()
+	if v, ok := counts[k]; ok {
+		return v
+	}
+	var n float64
+	for _, tr := range t.transitions() {
+		n += float64(tr.mult) * pathCount(tr.to, counts)
+	}
+	counts[k] = n
+	return n
+}
+
+// compile appends the plan of the class rooted at type root (at
+// distance h0): a post-order walk of the types reachable from root,
+// each visited once, so every step's successors precede it. For a
+// fixed class the hop index k is recoverable from a state's distance
+// (k = h0 − d + 1), which is why one step per type suffices.
+func (sp *StarPaths) compile(root ctype, h0 int, counts map[string]float64) {
+	lo := int32(len(sp.steps))
+	slots := make(map[string]int32)
+	var visit func(t ctype) int32
+	visit = func(t ctype) int32 {
+		if t.isTerminal() {
+			return 0
+		}
+		key := t.key()
+		if s, ok := slots[key]; ok {
+			return s
+		}
+		total := pathCount(t, counts)
+		trs := t.transitions()
+		kids := make([]planKid, len(trs))
+		for i, tr := range trs {
+			kids[i] = planKid{
+				slot: visit(tr.to),
+				w:    float64(tr.mult) * pathCount(tr.to, counts) / total,
+			}
+		}
+		d := t.dist()
+		k := h0 - d + 1
+		st := planStep{kids: span{int32(len(sp.kids)), int32(len(sp.kids) + len(kids))}}
+		for c0 := 0; c0 <= 1; c0++ {
+			st.hop[c0] = Hop{F: t.fanout(), D: d, NegTaken: negsAfter(c0, k-1), HopNeg: hopNegAt(c0, k)}
+		}
+		sp.kids = append(sp.kids, kids...)
+		sp.steps = append(sp.steps, st)
+		s := int32(len(sp.steps)) - lo // step i sits in slot i+1
+		slots[key] = s
+		return s
+	}
+	visit(root)
+	if len(sp.steps)-int(lo) > maxPlanSteps {
+		panic(fmt.Sprintf("model: S%d plan of %d steps exceeds %d", sp.n, len(sp.steps)-int(lo), maxPlanSteps))
+	}
+	sp.plans = append(sp.plans, span{lo, int32(len(sp.steps))})
 }
 
 // Classes implements PathStructure.
 func (sp *StarPaths) Classes() []PathClass { return sp.classes }
 
-// paths returns the number of minimal paths from a permutation of
-// type t to the identity, memoised across calls.
-func (sp *StarPaths) paths(t ctype) float64 {
-	if t.isTerminal() {
-		return 1
-	}
-	k := t.key()
-	if v, ok := sp.pathCount[k]; ok {
-		return v
-	}
-	var n float64
-	for _, tr := range t.transitions() {
-		n += float64(tr.mult) * sp.paths(tr.to)
-	}
-	sp.pathCount[k] = n
-	return n
-}
-
-// BlockSum implements PathStructure by a depth-first dynamic program
-// over cycle types. For a fixed destination class the hop index k is
-// recoverable from the state's distance (k = h0 − d + 1), so the
-// memo key is the type alone.
+// BlockSum implements PathStructure by running class idx's compiled
+// plan: each step's value is its own hop's blocking probability plus
+// the path-weighted values of its successors, added in the same order
+// as the recursive formulation, so results are bit-identical to it.
 func (sp *StarPaths) BlockSum(idx, c0 int, eval HopEvaluator) float64 {
-	t := sp.types[idx]
-	h0 := sp.classes[idx].H
-	memo := make(map[string]float64)
-	var rec func(t ctype) float64
-	rec = func(t ctype) float64 {
-		if t.isTerminal() {
-			return 0
+	var vals [maxPlanSteps + 1]float64 // vals[0] is the identity's 0
+	p := sp.plans[idx]
+	steps := sp.steps[p.lo:p.hi]
+	for i := range steps {
+		st := &steps[i]
+		sum := eval(st.hop[c0])
+		for _, k := range sp.kids[st.kids.lo:st.kids.hi] {
+			sum += k.w * vals[k.slot]
 		}
-		key := t.key()
-		if v, ok := memo[key]; ok {
-			return v
-		}
-		d := t.dist()
-		k := h0 - d + 1
-		hop := Hop{
-			F:        t.fanout(),
-			D:        d,
-			NegTaken: negsAfter(c0, k-1),
-			HopNeg:   hopNegAt(c0, k),
-		}
-		sum := eval(hop)
-		total := sp.paths(t)
-		for _, tr := range t.transitions() {
-			w := float64(tr.mult) * sp.paths(tr.to) / total
-			sum += w * rec(tr.to)
-		}
-		memo[key] = sum
-		return sum
+		vals[i+1] = sum
 	}
-	return rec(t)
+	return vals[len(steps)]
 }
 
 // NumPaths exposes the minimal-path count of a class (used by tests
 // and by cmd/starinfo).
-func (sp *StarPaths) NumPaths(idx int) float64 { return sp.paths(sp.types[idx]) }
+func (sp *StarPaths) NumPaths(idx int) float64 { return sp.numPaths[idx] }
 
 // CubePaths is the hypercube PathStructure: a destination at Hamming
 // distance h presents exactly d profitable dimensions when d hops

@@ -1,8 +1,12 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
+
+	"starperf/internal/routing"
 
 	"starperf/internal/perm"
 	"starperf/internal/stargraph"
@@ -202,7 +206,7 @@ func TestNegsAlternation(t *testing.T) {
 
 func BenchmarkStarPathsBuildS8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := NewStarPaths(8); err != nil {
+		if _, err := buildStarPaths(8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,5 +220,99 @@ func BenchmarkBlockSumS8(b *testing.B) {
 		for idx := range sp.Classes() {
 			sp.BlockSum(idx, i&1, eval)
 		}
+	}
+}
+
+// TestPlanFitsStack: every class plan up to S_12 fits BlockSum's
+// fixed value array, and NewStarPaths hands out one shared instance.
+func TestPlanFitsStack(t *testing.T) {
+	for n := 2; n <= 12; n++ {
+		sp, err := NewStarPaths(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, p := range sp.plans {
+			if steps := int(p.hi - p.lo); steps > maxPlanSteps {
+				t.Fatalf("S%d class %s: %d steps > %d", n, sp.classes[idx].Label, steps, maxPlanSteps)
+			}
+		}
+		if again, _ := NewStarPaths(n); again != sp {
+			t.Fatalf("S%d built twice", n)
+		}
+	}
+	if got := len(enumerateTypes(12)); got != 195 {
+		t.Fatalf("S12 has %d cycle types, the maxPlanSteps comment says 195", got)
+	}
+}
+
+// TestBlockSumAllocs gates the compiled plan: BlockSum allocates
+// nothing.
+func TestBlockSumAllocs(t *testing.T) {
+	sp, err := NewStarPaths(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := func(h Hop) float64 { return 0.01 * float64(h.F) }
+	allocs := testing.AllocsPerRun(20, func() {
+		for idx := range sp.Classes() {
+			sp.BlockSum(idx, idx&1, eval)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("BlockSum allocates %v times per sweep, want 0", allocs)
+	}
+}
+
+// TestSharedStructuresConcurrent runs eight goroutines through one
+// StarPaths and one Graph — the sharing the server's topology table
+// relies on — and checks each sees the serial results bit for bit
+// (run under -race in CI).
+func TestSharedStructuresConcurrent(t *testing.T) {
+	sp, err := NewStarPaths(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := stargraph.MustNew(6)
+	cfg := func(i int) Config {
+		return Config{Paths: sp, Top: g, Kind: routing.EnhancedNbc, V: 6 + i%3, MsgLen: 32, Rate: 0.001 * float64(1+i%5)}
+	}
+	const workers = 8
+	want := make([]float64, workers)
+	for i := range want {
+		r, err := Evaluate(cfg(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r.Latency
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				r, err := Evaluate(cfg(i))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if math.Float64bits(r.Latency) != math.Float64bits(want[i]) {
+					errs <- fmt.Errorf("worker %d: latency %v, serial %v", i, r.Latency, want[i])
+					return
+				}
+				src := (i*97 + rep) % g.N()
+				dst := (i*31 + rep*7) % g.N()
+				if d, p := g.Distance(src, dst), len(g.ProfitableDims(src, dst, nil)); (d == 0) != (p == 0) {
+					errs <- fmt.Errorf("worker %d: distance %d with %d profitable dims", i, d, p)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

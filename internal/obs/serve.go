@@ -34,11 +34,14 @@ type PoolStats struct {
 
 // CacheStats is a point-in-time snapshot of a cache.Cache.
 type CacheStats struct {
-	// Entries and Bytes describe the current memory tier; MaxBytes is
-	// its configured bound.
-	Entries  int   `json:"entries"`
-	Bytes    int64 `json:"bytes"`
-	MaxBytes int64 `json:"max_bytes"`
+	// Entries and Bytes (value bytes) describe the current memory
+	// tier; MaxBytes bounds Bytes. MappedBytes is the tier's real
+	// footprint: the off-heap slab chunks and dedicated mappings that
+	// hold its keys and values, free slots included.
+	Entries     int   `json:"entries"`
+	Bytes       int64 `json:"bytes"`
+	MappedBytes int64 `json:"mapped_bytes"`
+	MaxBytes    int64 `json:"max_bytes"`
 	// MemHits and DiskHits split hits by the tier that served them
 	// (a disk hit is promoted into memory); Misses count lookups
 	// neither tier could serve.

@@ -168,8 +168,17 @@ func TestConcurrencyCapCarriesRetryAfter(t *testing.T) {
 			readBody(t, resp)
 		}
 	}()
-	// Wait for the slot to fill, then probe: 503 + Retry-After.
+	// Wait for the slot to fill — the predict is queued behind the
+	// blocked job, holding the slot — then probe: 503 + Retry-After.
+	// Probing earlier races the predict for the single slot: a probe
+	// holding it turns the predict away, and nothing fills it again.
 	deadline := time.Now().Add(5 * time.Second)
+	for s.pool.Stats().Queued == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("predict never reached the pool")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for {
 		resp, err := http.Get(ts.URL + "/healthz")
 		if err != nil {

@@ -107,7 +107,7 @@ func (s *Server) parseBatchItem(it batchItem) (parsedItem, error) {
 		if err != nil {
 			return parsedItem{}, err
 		}
-		return parsedItem{id: id, meta: meta, fn: s.runAndStore(id, func() (any, error) { return req.run() }), raw: it}, nil
+		return parsedItem{id: id, meta: meta, fn: s.runAndStore(id, func() (any, error) { return req.run(s.topos) }), raw: it}, nil
 	case "simulate":
 		var req SimulateRequest
 		if err := decodeStrict(it.Config, &req); err != nil {

@@ -48,7 +48,7 @@ func TestBatchMixedOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
+	t.Cleanup(func() { _ = j.Close() }) // runs after the server's drain: cleanups are LIFO
 	_, ts := newTestServer(t, Config{Workers: 2, Journal: j})
 
 	br := postBatch(t, ts.URL, batchBody(t,
@@ -111,7 +111,7 @@ func TestBatchSingleJournalCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
+	t.Cleanup(func() { _ = j.Close() }) // runs after the server's drain: cleanups are LIFO
 	_, ts := newTestServer(t, Config{Workers: 1, Journal: j})
 
 	// Six distinct predicts (rate varies) — six accepted records.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -106,11 +107,21 @@ func TestBreakerDisabled(t *testing.T) {
 // trips, and the next request is rejected locally with 503
 // queue_full + Retry-After — without touching the pool.
 func TestBreakerOverHTTP(t *testing.T) {
-	s, ts := newTestServer(t, Config{
+	// A memory-only cache, unlike newTestServer's: the 1 ns job timeout
+	// abandons computations that still store their results after the
+	// test returns, and no drain waits for an abandoned goroutine, so a
+	// disk cache in a TempDir would race the directory's removal.
+	s, err := New(Config{
 		Workers:    1,
 		JobTimeout: time.Nanosecond,
 		Breaker:    BreakerConfig{Window: 8, MinSamples: 3, FailureRatio: 0.5, Cooldown: time.Minute},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeOnCleanup(t, s, nil)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 
 	sawOpen := false
 	for i := 0; i < 8 && !sawOpen; i++ {

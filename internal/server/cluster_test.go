@@ -74,10 +74,11 @@ func newTestCluster(t *testing.T, n int, mut func(addr string, cfg *Config)) *te
 	}
 	t.Cleanup(func() {
 		for _, addr := range tc.addrs {
-			if tc.killed[addr] {
-				continue
+			if !tc.killed[addr] {
+				tc.tss[addr].Close()
 			}
-			tc.tss[addr].Close()
+			// A killed node lost its listener, not its pool: drain it
+			// too before its cache directory is removed.
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			_ = tc.srvs[addr].Close(ctx)
 			cancel()

@@ -37,6 +37,7 @@ func newReadOnlyStack(t *testing.T) (*fsx.Faulty, *journal.Journal, *httptest.Se
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeOnCleanup(t, s, j)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return fa, j, ts

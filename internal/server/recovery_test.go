@@ -94,6 +94,8 @@ func TestJournaledServerRecoversInterruptedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The "crash" leaves s1 running: drain it before its directories go.
+	closeOnCleanup(t, s1, j1)
 	ts1 := httptest.NewServer(s1.Handler())
 	gate := make(chan struct{})
 	defer close(gate)
@@ -184,6 +186,8 @@ func TestRecoverSkipsCachedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The "crash" leaves s1 running: drain it before its directories go.
+	closeOnCleanup(t, s1, j1)
 	ts1 := httptest.NewServer(s1.Handler())
 	resp := postJSON(t, ts1.URL+"/v1/simulate", recoverySim)
 	var jb jobBody
@@ -244,6 +248,8 @@ func TestRecoverRequeuesCorruptCachedResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The "crash" leaves s1 running: drain it before its directories go.
+	closeOnCleanup(t, s1, j1)
 	ts1 := httptest.NewServer(s1.Handler())
 	resp := postJSON(t, ts1.URL+"/v1/simulate", recoverySim)
 	var jb jobBody

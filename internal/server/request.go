@@ -116,12 +116,8 @@ func (r PredictRequest) hash() (string, error) { return jobs.Hash("predict", r) 
 
 // run evaluates the model. A saturated operating point is a valid
 // answer (Saturated true), not an error.
-func (r PredictRequest) run() (*PredictResult, error) {
-	top, err := r.Topo.build()
-	if err != nil {
-		return nil, err
-	}
-	paths, err := r.Topo.paths()
+func (r PredictRequest) run(topos *topoTable) (*PredictResult, error) {
+	top, paths, err := topos.modelInputs(r.Topo)
 	if err != nil {
 		return nil, err
 	}
@@ -192,8 +188,8 @@ func (r BoundsRequest) withDefaults() BoundsRequest {
 	return r
 }
 
-func (r BoundsRequest) validate() error {
-	top, err := r.Topo.build()
+func (r BoundsRequest) validate(topos *topoTable) error {
+	top, err := topos.topology(r.Topo)
 	if err != nil {
 		return err
 	}
@@ -212,8 +208,8 @@ func (r BoundsRequest) hash() (string, error) { return jobs.Hash("bounds", r) }
 // run evaluates the bound engine. An unboundable operating point is a
 // valid answer (Unboundable true), not an error — the bounds
 // counterpart of PredictResult.Saturated.
-func (r BoundsRequest) run() (*BoundsResult, error) {
-	top, err := r.Topo.build()
+func (r BoundsRequest) run(topos *topoTable) (*BoundsResult, error) {
+	top, err := topos.topology(r.Topo)
 	if err != nil {
 		return nil, err
 	}

@@ -131,6 +131,7 @@ type Server struct {
 	metrics  *metrics
 	breakers *breakerSet
 	cluster  *peerNet // nil when unclustered
+	topos    *topoTable
 	sem      chan struct{}
 	maxBody  int64
 	workers  int // pool size, for batch admission pricing
@@ -172,6 +173,7 @@ func New(cfg Config) (*Server, error) {
 		mux:             http.NewServeMux(),
 		metrics:         newMetrics(),
 		breakers:        newBreakerSet(cfg.Breaker),
+		topos:           newTopoTable(topoBudget),
 		sem:             make(chan struct{}, cfg.MaxInFlight),
 		maxBody:         cfg.MaxBodyBytes,
 		workers:         cfg.Workers,
@@ -216,7 +218,7 @@ func (s *Server) Recover(rec *journal.Recovery) jobs.Recovery {
 		if _, ok := s.cache.Get(id); ok {
 			return nil, false, nil
 		}
-		run, err := rebuildRun(kind, req)
+		run, err := s.rebuildRun(kind, req)
 		if err != nil {
 			return nil, false, err
 		}
@@ -226,20 +228,20 @@ func (s *Server) Recover(rec *journal.Recovery) jobs.Recovery {
 
 // rebuildRun reconstitutes a journaled request body into its typed
 // runner — the inverse of the meta each handler journals on submit.
-func rebuildRun(kind string, req []byte) (func() (any, error), error) {
+func (s *Server) rebuildRun(kind string, req []byte) (func() (any, error), error) {
 	switch kind {
 	case "predict":
 		var r PredictRequest
 		if err := json.Unmarshal(req, &r); err != nil {
 			return nil, fmt.Errorf("server: journaled predict body: %w", err)
 		}
-		return func() (any, error) { return r.run() }, nil
+		return func() (any, error) { return r.run(s.topos) }, nil
 	case "bounds":
 		var r BoundsRequest
 		if err := json.Unmarshal(req, &r); err != nil {
 			return nil, fmt.Errorf("server: journaled bounds body: %w", err)
 		}
-		return func() (any, error) { return r.run() }, nil
+		return func() (any, error) { return r.run(s.topos) }, nil
 	case "simulate":
 		var r SimulateRequest
 		if err := json.Unmarshal(req, &r); err != nil {
@@ -503,7 +505,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
-	v, err := s.pool.DoMeta(r.Context(), id, meta, s.runAndStore(id, func() (any, error) { return req.run() }))
+	v, err := s.pool.DoMeta(r.Context(), id, meta, s.runAndStore(id, func() (any, error) { return req.run(s.topos) }))
 	if err != nil {
 		s.writeErr(w, r, err)
 		return
@@ -525,7 +527,7 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req = req.withDefaults()
-	if err := req.validate(); err != nil {
+	if err := req.validate(s.topos); err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
@@ -546,7 +548,7 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
-	v, err := s.pool.DoMeta(r.Context(), id, meta, s.runAndStore(id, func() (any, error) { return req.run() }))
+	v, err := s.pool.DoMeta(r.Context(), id, meta, s.runAndStore(id, func() (any, error) { return req.run(s.topos) }))
 	if err != nil {
 		s.writeErr(w, r, err)
 		return

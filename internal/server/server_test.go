@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"starperf/internal/cache"
+	"starperf/internal/journal"
 )
 
 // newTestServer builds a Server plus an httptest front end, torn down
@@ -25,16 +26,30 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeOnCleanup(t, s, nil)
 	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
+// closeOnCleanup drains s, then closes j when non-nil, in a cleanup
+// registered now. Cleanups run last-in first-out, so calling it after
+// the t.TempDir calls whose directories the server writes into (disk
+// cache, journal) makes every late job finish before they are
+// removed. Close is idempotent, so tests that close s themselves may
+// use it too.
+func closeOnCleanup(t *testing.T, s *Server, j *journal.Journal) {
+	t.Helper()
 	t.Cleanup(func() {
-		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := s.Close(ctx); err != nil {
 			t.Errorf("server close: %v", err)
 		}
+		if j != nil {
+			_ = j.Close()
+		}
 	})
-	return s, ts
 }
 
 func postJSON(t *testing.T, url, body string) *http.Response {

@@ -32,11 +32,11 @@ const MaxEnumerableN = 10
 type Graph struct {
 	n        int
 	nodes    int
-	perms    []perm.Permutation // node -> permutation (rank order)
-	inverses []perm.Permutation // node -> inverse permutation
-	adj      []int32            // node*(n-1)+dim -> neighbour node
-	color    []uint8            // node -> parity
-	distID   []uint8            // node -> distance to identity
+	perms    []uint8 // node*n.. -> permutation (rank order), flat
+	inverses []uint8 // node*n.. -> inverse permutation, flat
+	adj      []int32 // node*(n-1)+dim -> neighbour node
+	color    []uint8 // node -> parity
+	distID   []uint8 // node -> distance to identity
 	diameter int
 	distDist []uint64 // distance histogram from a fixed node
 	avgDist  float64
@@ -52,26 +52,31 @@ func New(n int) (*Graph, error) {
 	g := &Graph{
 		n:        n,
 		nodes:    nodes,
-		perms:    make([]perm.Permutation, nodes),
-		inverses: make([]perm.Permutation, nodes),
+		perms:    make([]uint8, nodes*n),
+		inverses: make([]uint8, nodes*n),
 		adj:      make([]int32, nodes*(n-1)),
 		color:    make([]uint8, nodes),
 		distID:   make([]uint8, nodes),
 	}
 	idx := 0
 	perm.ForEach(n, func(p perm.Permutation) bool {
-		q := p.Clone()
-		g.perms[idx] = q
-		g.inverses[idx] = q.Inverse()
-		g.color[idx] = uint8(q.Parity())
-		g.distID[idx] = uint8(DistanceToIdentity(q))
+		copy(g.perms[idx*n:], p)
+		inv := g.inverses[idx*n : (idx+1)*n]
+		for i, s := range p {
+			inv[s-1] = uint8(i + 1)
+		}
+		g.color[idx] = uint8(p.Parity())
+		g.distID[idx] = uint8(DistanceToIdentity(p))
 		idx++
 		return true
 	})
+	var buf [perm.MaxN]uint8
 	for node := 0; node < nodes; node++ {
-		p := g.perms[node]
+		q := perm.Permutation(buf[:n])
 		for dim := 0; dim < n-1; dim++ {
-			g.adj[node*(n-1)+dim] = int32(p.SwapFirst(dim + 2).Rank())
+			copy(q, g.Perm(node))
+			q.SwapFirstInPlace(dim + 2)
+			g.adj[node*(n-1)+dim] = int32(q.Rank())
 		}
 	}
 	g.diameter = Diameter(n)
@@ -109,7 +114,26 @@ func (g *Graph) Neighbor(node, dim int) int {
 
 // Perm returns the permutation labelling a node. The returned slice
 // is shared; callers must not modify it.
-func (g *Graph) Perm(node int) perm.Permutation { return g.perms[node] }
+func (g *Graph) Perm(node int) perm.Permutation {
+	return g.perms[node*g.n : (node+1)*g.n : (node+1)*g.n]
+}
+
+// relative composes the relative permutation dst⁻¹∘cur into buf, so
+// that Distance and ProfitableDims do not allocate.
+func (g *Graph) relative(buf *[perm.MaxN]uint8, cur, dst int) perm.Permutation {
+	n := g.n
+	inv, p := g.inverses[dst*n:(dst+1)*n], g.perms[cur*n:(cur+1)*n]
+	rel := perm.Permutation(buf[:n])
+	for i, s := range p {
+		rel[i] = inv[s-1]
+	}
+	return rel
+}
+
+// Footprint returns the bytes held by the graph's per-node tables.
+func (g *Graph) Footprint() int64 {
+	return int64(len(g.perms) + len(g.inverses) + 4*len(g.adj) + len(g.color) + len(g.distID))
+}
 
 // NodeOf returns the node index of a permutation.
 func (g *Graph) NodeOf(p perm.Permutation) int { return int(p.Rank()) }
@@ -129,8 +153,8 @@ func (g *Graph) Distance(a, b int) int {
 	if b == 0 {
 		return int(g.distID[a])
 	}
-	rel := g.inverses[b].Compose(g.perms[a])
-	return DistanceToIdentity(rel)
+	var buf [perm.MaxN]uint8
+	return DistanceToIdentity(g.relative(&buf, a, b))
 }
 
 // DistanceToID returns the precomputed distance from a node to the
@@ -163,8 +187,8 @@ func (g *Graph) ProfitableDims(cur, dst int, buf []int) []int {
 	if cur == dst {
 		return buf
 	}
-	rel := g.inverses[dst].Compose(g.perms[cur])
-	return profitableOf(rel, buf)
+	var rel [perm.MaxN]uint8
+	return profitableOf(g.relative(&rel, cur, dst), buf)
 }
 
 // profitableOf computes profitable generator dimensions (0-based dim =

@@ -297,6 +297,27 @@ func TestProfitableOfRelative(t *testing.T) {
 	}
 }
 
+// TestRoutingQueriesDoNotAllocate: Distance and ProfitableDims build
+// the relative permutation in a stack buffer, so the simulator's and
+// the bounds engine's per-hop queries allocate nothing.
+func TestRoutingQueriesDoNotAllocate(t *testing.T) {
+	g := MustNew(6)
+	buf := make([]int, 0, g.Degree())
+	var sink int
+	allocs := testing.AllocsPerRun(5, func() {
+		for a := 0; a < g.N(); a += 7 {
+			for b := 1; b < g.N(); b += 11 {
+				sink += g.Distance(a, b)
+				buf = g.ProfitableDims(a, b, buf[:0])
+				sink += len(buf)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Distance/ProfitableDims allocate %v times per sweep, want 0 (sink %d)", allocs, sink)
+	}
+}
+
 func BenchmarkProfitableDims(b *testing.B) {
 	g := MustNew(7)
 	buf := make([]int, 0, 8)
