@@ -20,22 +20,13 @@ import (
 // job occupies a worker, and a synchronous route's HTTP latency
 // already contains queue wait, which would double-count the backlog.
 
-// routeKind maps a compute route to the job kind its handler
-// submits, so the route's own expected service time can be read from
-// the pool's per-kind execution means.
-var routeKind = map[string]string{
-	"/v1/predict":  "predict",
-	"/v1/simulate": "simulate",
-	"/v1/sweep":    "sweep",
-}
-
-// estWait estimates how long a request admitted on route now would
+// estWait estimates how long a request of kind admitted now would
 // wait before its job completes: the backlog's drain time plus the
-// route's own expected execution time. Zero when nothing has finished
+// kind's own expected execution time. Zero when nothing has finished
 // yet (first requests must be admitted — there is nothing to estimate
 // from) and the pool is idle.
-func (s *Server) estWait(route string) time.Duration {
-	us := s.pool.EstWaitMicros() + s.pool.ExecMeanMicros(routeKind[route])
+func (s *Server) estWait(kind string) time.Duration {
+	us := s.pool.EstWaitMicros() + s.pool.ExecMeanMicros(kind)
 	return time.Duration(us * float64(time.Microsecond))
 }
 

@@ -123,6 +123,38 @@ func TestAdmissionShedsDoomedRequests(t *testing.T) {
 	}
 }
 
+// TestAdmissionPricesBoundsAtItsOwnMean: a /v1/bounds request is
+// priced at the bounds kind's own execution mean, not at the
+// all-kinds mean. On an idle pool that has seen one 2s bounds job and
+// a thousand 1ms predicts, a bounds request with 100ms of patience is
+// doomed (its own run alone is ~2s) and must be shed; priced at the
+// ≈3ms all-kinds mean it would be admitted.
+func TestAdmissionPricesBoundsAtItsOwnMean(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.pool.ObserveExec("bounds", 2*time.Second)
+	for i := 0; i < 1000; i++ {
+		s.pool.ObserveExec("predict", time.Millisecond)
+	}
+	req, err := http.NewRequest("POST", ts.URL+"/v1/bounds", strings.NewReader(boundsS4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(deadlineHeader, "100ms")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("doomed bounds request: %d %s, want 429", resp.StatusCode, body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Class != "queue_full" {
+		t.Fatalf("shed body %s", body)
+	}
+}
+
 // TestQueueFullCarriesRetryAfter: the 429 a saturated queue returns
 // derives its Retry-After from the backlog.
 func TestQueueFullCarriesRetryAfter(t *testing.T) {

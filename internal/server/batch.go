@@ -25,7 +25,6 @@ package server
 // single-request fallback policy in cluster.go.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -68,85 +67,25 @@ type batchResponse struct {
 
 // parsedItem is a validated, hashed batch item bound for the pool.
 type parsedItem struct {
-	idx  int // position in the request
-	id   string
-	meta jobs.Meta
-	fn   jobs.Func
-	raw  batchItem // original wire form, for sub-batch forwarding
+	job
+	idx int // position in the request
+	fn  jobs.Func
+	raw batchItem // original wire form, for sub-batch forwarding
 }
 
-// decodeStrict parses raw into v with unknown fields rejected,
-// classifying failures as configuration errors.
-func decodeStrict(raw []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return cfgerr.New("malformed config: " + err.Error())
-	}
-	return nil
-}
-
-// parseBatchItem validates one item through the same pipeline its
-// standalone route runs: strict decode, defaults, validate, hash.
+// parseBatchItem validates one item through the same step its
+// standalone route runs: the kind's row, then strict decode,
+// defaults, validate and hash.
 func (s *Server) parseBatchItem(it batchItem) (parsedItem, error) {
-	switch it.Kind {
-	case "predict":
-		var req PredictRequest
-		if err := decodeStrict(it.Config, &req); err != nil {
-			return parsedItem{}, err
-		}
-		req = req.withDefaults()
-		if err := req.validate(); err != nil {
-			return parsedItem{}, err
-		}
-		id, err := req.hash()
-		if err != nil {
-			return parsedItem{}, err
-		}
-		meta, err := submitMeta("predict", req)
-		if err != nil {
-			return parsedItem{}, err
-		}
-		return parsedItem{id: id, meta: meta, fn: s.runAndStore(id, func() (any, error) { return req.run(s.topos) }), raw: it}, nil
-	case "simulate":
-		var req SimulateRequest
-		if err := decodeStrict(it.Config, &req); err != nil {
-			return parsedItem{}, err
-		}
-		req = req.withDefaults()
-		if err := req.validate(); err != nil {
-			return parsedItem{}, err
-		}
-		id, err := req.hash()
-		if err != nil {
-			return parsedItem{}, err
-		}
-		meta, err := submitMeta("simulate", req)
-		if err != nil {
-			return parsedItem{}, err
-		}
-		return parsedItem{id: id, meta: meta, fn: s.runAndStore(id, func() (any, error) { return req.run() }), raw: it}, nil
-	case "sweep":
-		var req SweepRequest
-		if err := decodeStrict(it.Config, &req); err != nil {
-			return parsedItem{}, err
-		}
-		req = req.withDefaults()
-		if err := req.validate(); err != nil {
-			return parsedItem{}, err
-		}
-		id, err := req.hash()
-		if err != nil {
-			return parsedItem{}, err
-		}
-		meta, err := submitMeta("sweep", req)
-		if err != nil {
-			return parsedItem{}, err
-		}
-		return parsedItem{id: id, meta: meta, fn: s.runAndStore(id, func() (any, error) { return req.run() }), raw: it}, nil
-	default:
-		return parsedItem{}, cfgerr.Errorf("unknown job kind %q (want predict, simulate or sweep)", it.Kind)
+	k, ok := kindNamed[it.Kind]
+	if !ok {
+		return parsedItem{}, cfgerr.Errorf("unknown job kind %q (want %s)", it.Kind, kindNames)
 	}
+	j, err := k.prepare(s, it.Config, decodeConfig)
+	if err != nil {
+		return parsedItem{}, err
+	}
+	return parsedItem{job: j, fn: s.runAndStore(j.id, j.req), raw: it}, nil
 }
 
 // handleBatch serves POST /v1/jobs:batch.
@@ -156,7 +95,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if !s.decode(w, r, raw, &req) {
+	if err := decodeRequest(raw, &req); err != nil {
+		s.writeErr(w, r, err)
 		return
 	}
 	if len(req.Items) == 0 {

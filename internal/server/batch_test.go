@@ -40,8 +40,8 @@ func postBatch(t *testing.T, base, body string) batchResponse {
 }
 
 // TestBatchMixedOutcomes: one batch carrying a valid predict, a valid
-// simulate, an unknown kind and a malformed config answers all four
-// positionally — errors inline as envelope objects, acceptances with
+// simulate, an unknown kind, a malformed config and a valid bounds
+// answers all five positionally — errors inline as envelope objects, acceptances with
 // the ids their standalone submissions would have gotten.
 func TestBatchMixedOutcomes(t *testing.T) {
 	j, _, err := journal.Open(journal.Options{Dir: t.TempDir(), FS: fsx.OS{}})
@@ -56,9 +56,10 @@ func TestBatchMixedOutcomes(t *testing.T) {
 		`{"kind":"simulate","config":`+recoverySim+`}`,
 		`{"kind":"divine","config":{}}`,
 		`{"kind":"predict","config":{"vee":4}}`,
+		`{"kind":"bounds","config":`+boundsS4+`}`,
 	))
-	if len(br.Items) != 4 {
-		t.Fatalf("%d items, want 4", len(br.Items))
+	if len(br.Items) != 5 {
+		t.Fatalf("%d items, want 5", len(br.Items))
 	}
 	if br.Items[0].ID != predictID(t) || br.Items[0].Error != nil {
 		t.Fatalf("predict item %+v", br.Items[0])
@@ -72,14 +73,23 @@ func TestBatchMixedOutcomes(t *testing.T) {
 			t.Fatalf("item %d = %+v, want invalid_config error", i, br.Items[i])
 		}
 	}
+	if want := `unknown job kind "divine" (want bounds, predict, simulate or sweep)`; br.Items[2].Error.Message != want {
+		t.Fatalf("unknown kind message %q, want %q", br.Items[2].Error.Message, want)
+	}
+	if br.Items[4].ID != boundsID(t) || br.Items[4].Error != nil {
+		t.Fatalf("bounds item %+v", br.Items[4])
+	}
 
-	// Both accepted jobs complete and answer byte-identically to
+	// The accepted jobs complete and answer byte-identically to
 	// standalone submissions on a pristine server.
 	if got := jobResultBody(t, ts.URL, br.Items[0].ID); string(got) != string(controlPredict(t)) {
 		t.Fatalf("batched predict differs from control: %s", got)
 	}
 	if got := jobResultBody(t, ts.URL, br.Items[1].ID); string(got) != string(controlSimulate(t)) {
 		t.Fatalf("batched simulate differs from control: %s", got)
+	}
+	if got := jobResultBody(t, ts.URL, br.Items[4].ID); string(got) != string(controlBounds(t)) {
+		t.Fatalf("batched bounds differs from control: %s", got)
 	}
 
 	// Resubmitting the same batch hits the cache: done immediately, no
@@ -98,7 +108,7 @@ func TestBatchMixedOutcomes(t *testing.T) {
 	if err := json.Unmarshal(readBody(t, mresp), &mz); err != nil {
 		t.Fatal(err)
 	}
-	if mz.Batch.Batches != 2 || mz.Batch.Items != 5 || mz.Batch.MaxItems != 4 {
+	if mz.Batch.Batches != 2 || mz.Batch.Items != 6 || mz.Batch.MaxItems != 5 {
 		t.Fatalf("batch stats %+v", mz.Batch)
 	}
 }
@@ -124,7 +134,7 @@ func TestBatchSingleJournalCommit(t *testing.T) {
 		if err := json.Unmarshal([]byte(cfg), &req); err != nil {
 			t.Fatal(err)
 		}
-		if ids[i], err = req.withDefaults().hash(); err != nil {
+		if ids[i], err = kindHash("predict", req.withDefaults()); err != nil {
 			t.Fatal(err)
 		}
 	}

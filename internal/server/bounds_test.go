@@ -93,7 +93,7 @@ func TestBoundsGoldenWire(t *testing.T) {
 	if err := json.Unmarshal([]byte(boundsS4), &req); err != nil {
 		t.Fatal(err)
 	}
-	h, err := req.withDefaults().hash()
+	h, err := kindHash("bounds", req.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestBoundsGoldenWire(t *testing.T) {
 		Topo: TopoSpec{Kind: "star", N: 4}, Routing: "enbc",
 		V: 6, MsgLen: 32, Rate: 0.004, BufCap: 2, LinkBW: 1,
 	}
-	he, err := explicit.withDefaults().hash()
+	he, err := kindHash("bounds", explicit.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func boundsID(t *testing.T) string {
 	if err := json.Unmarshal([]byte(boundsS4), &req); err != nil {
 		t.Fatal(err)
 	}
-	id, err := req.withDefaults().hash()
+	id, err := kindHash("bounds", req.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,8 +139,8 @@ func isForwarded(r *http.Request) bool { return r.Header.Get(forwardedHeader) !=
 // response; false means the caller should compute locally — either
 // because this node owns the id, or as the last-resort fallback when
 // no preferred peer could take it. sync selects the response shape of
-// a peer-cache fill: the stored bytes for the synchronous predict
-// route, a done job envelope for the async routes.
+// a peer-cache fill: the stored bytes for a sync kind's route, a done
+// job envelope for an async kind's.
 func (s *Server) clusterRoute(w http.ResponseWriter, r *http.Request, id string, raw []byte, sync bool) bool {
 	cn := s.cluster
 	if cn == nil || isForwarded(r) {

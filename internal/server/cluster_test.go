@@ -110,7 +110,7 @@ func predictID(t *testing.T) string {
 	if err := json.Unmarshal([]byte(predictS4), &req); err != nil {
 		t.Fatal(err)
 	}
-	id, err := req.withDefaults().hash()
+	id, err := kindHash("predict", req.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func simulateID(t *testing.T) string {
 	if err := json.Unmarshal([]byte(recoverySim), &req); err != nil {
 		t.Fatal(err)
 	}
-	id, err := req.withDefaults().hash()
+	id, err := kindHash("simulate", req.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,6 +172,100 @@ func TestJournaledServerRecoversInterruptedJob(t *testing.T) {
 	}
 }
 
+// kindSamples holds one small, valid body per kind-table row.
+var kindSamples = map[string]string{
+	"predict":  predictS4,
+	"bounds":   boundsS4,
+	"simulate": recoverySim,
+	"sweep":    `{"panel":"a","points":1,"seeds":[1],"warmup":200,"measure":1000}`,
+}
+
+// TestRecoverRebuildsEveryKind: for every row of the kind table, an
+// accepted record journaled with no terminal is rebuilt by Recover on
+// a fresh server, and the finished result is byte-identical to a
+// standalone submission's. A journaled kind outside the table fails
+// recovery terminally instead of replaying on every boot.
+func TestRecoverRebuildsEveryKind(t *testing.T) {
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			body, ok := kindSamples[k.name]
+			if !ok {
+				t.Fatalf("no sample body for kind %q", k.name)
+			}
+			ctrl, ctrlTS := newTestServer(t, Config{Workers: 2})
+			resp := postJSON(t, ctrlTS.URL+k.route, body)
+			want := readBody(t, resp)
+			if !k.sync {
+				var jb jobBody
+				if err := json.Unmarshal(want, &jb); err != nil {
+					t.Fatal(err)
+				}
+				want = jobResultBody(t, ctrlTS.URL, jb.ID)
+			}
+			j, err := k.prepare(ctrl, []byte(body), decodeRequest)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			jdir := t.TempDir()
+			j1, _, err := journal.Open(journal.Options{Dir: jdir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j1.Append(journal.Record{Type: journal.TypeAccepted, ID: j.id, Kind: j.meta.Kind, Req: j.meta.Req}); err != nil {
+				t.Fatal(err)
+			}
+			if err := j1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			j2, rec, err := journal.Open(journal.Options{Dir: jdir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2, err := New(Config{Workers: 1, Cache: cacheCfg(t), Journal: j2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			closeOnCleanup(t, s2, j2)
+			ts2 := httptest.NewServer(s2.Handler())
+			defer ts2.Close()
+			if recov := s2.Recover(rec); recov.Requeued != 1 || recov.Failed != 0 {
+				t.Fatalf("recovery = %+v, want 1 requeued", recov)
+			}
+			if got := jobResultBody(t, ts2.URL, j.id); string(got) != string(want) {
+				t.Fatalf("recovered %s differs from standalone:\n %s\n %s", k.name, got, want)
+			}
+		})
+	}
+
+	t.Run("unknown", func(t *testing.T) {
+		jdir := t.TempDir()
+		j1, _, err := journal.Open(journal.Options{Dir: jdir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j1.Append(journal.Record{Type: journal.TypeAccepted, ID: "sha256:divine", Kind: "divine", Req: []byte(`{}`)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2, rec, err := journal.Open(journal.Options{Dir: jdir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := New(Config{Workers: 1, Cache: cacheCfg(t), Journal: j2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeOnCleanup(t, s2, j2)
+		if recov := s2.Recover(rec); recov.Failed != 1 || recov.Requeued != 0 {
+			t.Fatalf("recovery of an unknown kind = %+v, want 1 failed", recov)
+		}
+	})
+}
+
 // TestRecoverSkipsCachedResults: a job whose result already sits in
 // the (shared) disk cache is journaled done without recomputation.
 func TestRecoverSkipsCachedResults(t *testing.T) {
@@ -199,7 +293,7 @@ func TestRecoverSkipsCachedResults(t *testing.T) {
 	// duplicate submission after the first completed.
 	jobResultBody(t, ts1.URL, jb.ID)
 	waitJournalIdle(t, j1)
-	meta, err := submitMeta("simulate", mustSimReq(t))
+	_, meta, err := kindNamed["simulate"].bind(mustSimReq(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +354,7 @@ func TestRecoverRequeuesCorruptCachedResult(t *testing.T) {
 	waitJournalIdle(t, j1)
 	// An accepted record with no terminal, as if a crash caught a
 	// duplicate submission right after the first run completed.
-	meta, err := submitMeta("simulate", mustSimReq(t))
+	_, meta, err := kindNamed["simulate"].bind(mustSimReq(t))
 	if err != nil {
 		t.Fatal(err)
 	}

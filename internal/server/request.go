@@ -9,7 +9,6 @@ import (
 	"starperf/internal/desim"
 	"starperf/internal/experiments"
 	"starperf/internal/hypercube"
-	"starperf/internal/jobs"
 	"starperf/internal/mesh"
 	"starperf/internal/model"
 	"starperf/internal/routing"
@@ -102,7 +101,7 @@ func (r PredictRequest) withDefaults() PredictRequest {
 
 // validate rejects a request that cannot materialise, without
 // running it.
-func (r PredictRequest) validate() error {
+func (r PredictRequest) validate(*topoTable) error {
 	if _, err := r.Topo.paths(); err != nil {
 		return err
 	}
@@ -112,11 +111,9 @@ func (r PredictRequest) validate() error {
 	return nil
 }
 
-func (r PredictRequest) hash() (string, error) { return jobs.Hash("predict", r) }
-
 // run evaluates the model. A saturated operating point is a valid
 // answer (Saturated true), not an error.
-func (r PredictRequest) run(topos *topoTable) (*PredictResult, error) {
+func (r PredictRequest) run(topos *topoTable) (any, error) {
 	top, paths, err := topos.modelInputs(r.Topo)
 	if err != nil {
 		return nil, err
@@ -203,12 +200,10 @@ func (r BoundsRequest) validate(topos *topoTable) error {
 	return nil
 }
 
-func (r BoundsRequest) hash() (string, error) { return jobs.Hash("bounds", r) }
-
 // run evaluates the bound engine. An unboundable operating point is a
 // valid answer (Unboundable true), not an error — the bounds
 // counterpart of PredictResult.Saturated.
-func (r BoundsRequest) run(topos *topoTable) (*BoundsResult, error) {
+func (r BoundsRequest) run(topos *topoTable) (any, error) {
 	top, err := topos.topology(r.Topo)
 	if err != nil {
 		return nil, err
@@ -309,7 +304,7 @@ func (r SimulateRequest) withDefaults() SimulateRequest {
 	return r
 }
 
-func (r SimulateRequest) validate() error {
+func (r SimulateRequest) validate(*topoTable) error {
 	top, err := r.Topo.build()
 	if err != nil {
 		return err
@@ -324,9 +319,7 @@ func (r SimulateRequest) validate() error {
 	return nil
 }
 
-func (r SimulateRequest) hash() (string, error) { return jobs.Hash("simulate", r) }
-
-func (r SimulateRequest) run() (*SimulateResult, error) {
+func (r SimulateRequest) run(*topoTable) (any, error) {
 	top, err := r.Topo.build()
 	if err != nil {
 		return nil, err
@@ -422,7 +415,7 @@ func (r SweepRequest) withDefaults() SweepRequest {
 	return r
 }
 
-func (r SweepRequest) validate() error {
+func (r SweepRequest) validate(*topoTable) error {
 	switch r.Panel {
 	case "a", "b", "c":
 	default:
@@ -437,9 +430,7 @@ func (r SweepRequest) validate() error {
 	return nil
 }
 
-func (r SweepRequest) hash() (string, error) { return jobs.Hash("sweep", r) }
-
-func (r SweepRequest) run() (*SweepResult, error) {
+func (r SweepRequest) run(*topoTable) (any, error) {
 	p, err := experiments.Figure1Panel(experiments.Figure1Config{
 		Panel:   r.Panel[0],
 		Points:  r.Points,

@@ -2,15 +2,20 @@
 // (cmd/starperfd): a stdlib net/http JSON API over the analytical
 // model, the flit-level simulator and the Figure 1 sweep harness.
 //
-// Layering. Requests (request.go) normalise their defaults and hash
-// into a content id (internal/jobs.Hash). Synchronous evaluation
-// (POST /v1/predict, POST /v1/bounds) and asynchronous jobs (POST /v1/simulate,
-// POST /v1/sweep; GET /v1/jobs/{id}) both run on one bounded
-// jobs.Pool — singleflight on the content id, typed backpressure —
-// and store their marshalled results in the two-tier internal/cache
-// keyed by the same id, so an identical request is a cache hit with
-// a byte-identical body, an in-flight duplicate shares the
-// computation, and only genuinely new work costs anything.
+// Layering. Each compute kind — predict and bounds (synchronous),
+// simulate and sweep (asynchronous, polled on GET /v1/jobs/{id}) — is
+// one row of the job-kind table (kinds.go): its name, its POST route,
+// a sync flag and one typed decode → withDefaults → validate → bind
+// step. One generic handler serves every route from its row, and a
+// POST /v1/jobs:batch item and a journal replay run the same step
+// after a lookup by kind name. A request's defaults are normalised
+// before it is hashed into a content id (internal/jobs.Hash). All
+// kinds run on one bounded jobs.Pool — singleflight on the content
+// id, typed backpressure — and store their marshalled results in the
+// two-tier internal/cache keyed by the same id, so an identical
+// request is a cache hit with a byte-identical body, an in-flight
+// duplicate shares the computation, and only genuinely new work costs
+// anything.
 //
 // Operational surface: GET /healthz liveness, GET /metricsz (pool
 // depth, cache hit/miss/evict counters, per-route latency
@@ -20,7 +25,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -183,13 +187,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Ring != nil {
 		s.cluster = newPeerNet(cfg)
 	}
-	// The three compute routes run behind the breaker and admission
-	// control; the read-only operational routes never shed — you must
-	// be able to poll a job or read /metricsz on an overloaded server.
-	s.mux.HandleFunc("POST /v1/predict", s.instrument("/v1/predict", s.guard("/v1/predict", s.handlePredict)))
-	s.mux.HandleFunc("POST /v1/bounds", s.instrument("/v1/bounds", s.guard("/v1/bounds", s.handleBounds)))
-	s.mux.HandleFunc("POST /v1/simulate", s.instrument("/v1/simulate", s.guard("/v1/simulate", s.handleSimulate)))
-	s.mux.HandleFunc("POST /v1/sweep", s.instrument("/v1/sweep", s.guard("/v1/sweep", s.handleSweep)))
+	// The compute routes, one per kind-table row, run behind the
+	// breaker and admission control; the read-only operational routes
+	// never shed — you must be able to poll a job or read /metricsz on
+	// an overloaded server.
+	for _, k := range kinds {
+		s.mux.HandleFunc("POST "+k.route, s.instrument(k.route, s.guard(k, s.handleKind(k))))
+	}
 	// The batch route runs its own per-item admission (one decision
 	// priced at batch cost, partial acceptance — see batch.go), so it
 	// mounts under instrument only, not guard.
@@ -218,45 +222,16 @@ func (s *Server) Recover(rec *journal.Recovery) jobs.Recovery {
 		if _, ok := s.cache.Get(id); ok {
 			return nil, false, nil
 		}
-		run, err := s.rebuildRun(kind, req)
+		k, ok := kindNamed[kind]
+		if !ok {
+			return nil, false, fmt.Errorf("server: journaled job of unknown kind %q", kind)
+		}
+		j, err := k.prepare(s, req, json.Unmarshal)
 		if err != nil {
-			return nil, false, err
+			return nil, false, fmt.Errorf("server: journaled %s body: %w", kind, err)
 		}
-		return s.runAndStore(id, run), true, nil
+		return s.runAndStore(id, j.req), true, nil
 	})
-}
-
-// rebuildRun reconstitutes a journaled request body into its typed
-// runner — the inverse of the meta each handler journals on submit.
-func (s *Server) rebuildRun(kind string, req []byte) (func() (any, error), error) {
-	switch kind {
-	case "predict":
-		var r PredictRequest
-		if err := json.Unmarshal(req, &r); err != nil {
-			return nil, fmt.Errorf("server: journaled predict body: %w", err)
-		}
-		return func() (any, error) { return r.run(s.topos) }, nil
-	case "bounds":
-		var r BoundsRequest
-		if err := json.Unmarshal(req, &r); err != nil {
-			return nil, fmt.Errorf("server: journaled bounds body: %w", err)
-		}
-		return func() (any, error) { return r.run(s.topos) }, nil
-	case "simulate":
-		var r SimulateRequest
-		if err := json.Unmarshal(req, &r); err != nil {
-			return nil, fmt.Errorf("server: journaled simulate body: %w", err)
-		}
-		return func() (any, error) { return r.run() }, nil
-	case "sweep":
-		var r SweepRequest
-		if err := json.Unmarshal(req, &r); err != nil {
-			return nil, fmt.Errorf("server: journaled sweep body: %w", err)
-		}
-		return func() (any, error) { return r.run() }, nil
-	default:
-		return nil, fmt.Errorf("server: journaled job of unknown kind %q", kind)
-	}
 }
 
 // Handler returns the routed API.
@@ -319,9 +294,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 // often still there). Admission sheds and breaker rejections return
 // before allow, so neither feeds the breaker's outcome window — its
 // own refusals would otherwise poison the sample.
-func (s *Server) guard(route string, h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) guard(k *jobKind, h http.HandlerFunc) http.HandlerFunc {
+	route := k.route
 	return func(w http.ResponseWriter, r *http.Request) {
-		if est, deadline := s.estWait(route), s.requestDeadline(r); est > deadline {
+		if est, deadline := s.estWait(k.name), s.requestDeadline(r); est > deadline {
 			s.shed.Add(1)
 			s.writeError(w, r, http.StatusTooManyRequests, classQueueFull,
 				fmt.Sprintf("estimated queue wait %s exceeds request deadline %s",
@@ -375,20 +351,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		return nil, false
 	}
 	return raw, true
-}
-
-// decode parses a JSON request body strictly — unknown fields are
-// errors, because a silently dropped typo would mint a fresh cache
-// key for a request the caller never meant to make.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, raw []byte, v any) bool {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, classInvalidConfig,
-			"malformed request: "+err.Error(), noRetry)
-		return false
-	}
-	return true
 }
 
 // writeErr maps a computation or submission error onto the wire via
@@ -471,108 +433,11 @@ func (s *Server) writeResult(w http.ResponseWriter, id, cacheState string, body 
 	_, _ = w.Write(body)
 }
 
-// handlePredict serves POST /v1/predict synchronously: cache hit →
-// stored bytes; otherwise evaluate on the pool (deduplicated against
-// concurrent identical requests) and store.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	raw, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req PredictRequest
-	if !s.decode(w, r, raw, &req) {
-		return
-	}
-	req = req.withDefaults()
-	if err := req.validate(); err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	id, err := req.hash()
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if body, ok := s.cache.Get(id); ok {
-		s.writeResult(w, id, "hit", body)
-		return
-	}
-	if s.clusterRoute(w, r, id, raw, true) {
-		return
-	}
-	meta, err := submitMeta("predict", req)
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	v, err := s.pool.DoMeta(r.Context(), id, meta, s.runAndStore(id, func() (any, error) { return req.run(s.topos) }))
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.writeResult(w, id, "miss", v.([]byte))
-}
-
-// handleBounds serves POST /v1/bounds synchronously, exactly like
-// /v1/predict: cache hit → stored bytes; otherwise evaluate the bound
-// engine on the pool and store. An unboundable operating point is a
-// valid 200 body ({"unboundable":true}), not an error.
-func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
-	raw, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req BoundsRequest
-	if !s.decode(w, r, raw, &req) {
-		return
-	}
-	req = req.withDefaults()
-	if err := req.validate(s.topos); err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	id, err := req.hash()
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if body, ok := s.cache.Get(id); ok {
-		s.writeResult(w, id, "hit", body)
-		return
-	}
-	if s.clusterRoute(w, r, id, raw, true) {
-		return
-	}
-	meta, err := submitMeta("bounds", req)
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	v, err := s.pool.DoMeta(r.Context(), id, meta, s.runAndStore(id, func() (any, error) { return req.run(s.topos) }))
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.writeResult(w, id, "miss", v.([]byte))
-}
-
-// submitMeta packs a request's journalable identity: the kind plus
-// the canonical body a restart will rebuild the job from (the same
-// canonicalisation the content hash uses, so the journal and the
-// cache agree on what the job is).
-func submitMeta(kind string, req any) (jobs.Meta, error) {
-	body, err := jobs.CanonicalJSON(req)
-	if err != nil {
-		return jobs.Meta{}, err
-	}
-	return jobs.Meta{Kind: kind, Req: body}, nil
-}
-
-// runAndStore adapts a request runner into a pool Func that caches
+// runAndStore adapts a prepared request into a pool Func that caches
 // its marshalled result under id and returns the exact stored bytes.
-func (s *Server) runAndStore(id string, run func() (any, error)) jobs.Func {
+func (s *Server) runAndStore(id string, req runner) jobs.Func {
 	return func(ctx context.Context) (any, error) {
-		res, err := run()
+		res, err := req.run(s.topos)
 		if err != nil {
 			return nil, err
 		}
@@ -619,7 +484,7 @@ func (s *Server) refuseReadOnly(w http.ResponseWriter, r *http.Request) {
 		"journal is read-only (disk full): async submissions refused until space returns", retry)
 }
 
-// submitAsync is the shared shape of /v1/simulate and /v1/sweep: an
+// submitAsync submits an async kind's job (see handleKind): an
 // already-cached result answers done immediately; otherwise the job
 // is enqueued (or joined, if an identical one is in flight) and the
 // caller polls GET /v1/jobs/{id}. A read-only journal refuses the
@@ -640,76 +505,6 @@ func (s *Server) submitAsync(w http.ResponseWriter, r *http.Request, id string, 
 		return
 	}
 	s.writeJSON(w, http.StatusAccepted, jobBody{ID: id, Status: j.Status()})
-}
-
-// handleSimulate serves POST /v1/simulate.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	raw, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req SimulateRequest
-	if !s.decode(w, r, raw, &req) {
-		return
-	}
-	req = req.withDefaults()
-	if err := req.validate(); err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	id, err := req.hash()
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if s.cache.Contains(id) {
-		s.writeJSON(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone})
-		return
-	}
-	if s.clusterRoute(w, r, id, raw, false) {
-		return
-	}
-	meta, err := submitMeta("simulate", req)
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.submitAsync(w, r, id, meta, s.runAndStore(id, func() (any, error) { return req.run() }))
-}
-
-// handleSweep serves POST /v1/sweep.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	raw, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req SweepRequest
-	if !s.decode(w, r, raw, &req) {
-		return
-	}
-	req = req.withDefaults()
-	if err := req.validate(); err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	id, err := req.hash()
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if s.cache.Contains(id) {
-		s.writeJSON(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone})
-		return
-	}
-	if s.clusterRoute(w, r, id, raw, false) {
-		return
-	}
-	meta, err := submitMeta("sweep", req)
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.submitAsync(w, r, id, meta, s.runAndStore(id, func() (any, error) { return req.run() }))
 }
 
 // handleJob serves GET /v1/jobs/{id}: resolve from the cache first

@@ -374,6 +374,12 @@ func TestBodyLimit(t *testing.T) {
 	}
 }
 
+// kindHash hashes a defaulted request as the named kind's route does.
+func kindHash(name string, req any) (string, error) {
+	id, _, err := kindNamed[name].bind(req)
+	return id, err
+}
+
 // TestGoldenWireHashes pins the canonical job-hash strings of the
 // wire schema. A change here is a cache-compatibility break: bump
 // jobs.SchemaVersion rather than silently re-keying every deployed
@@ -393,9 +399,9 @@ func TestGoldenWireHashes(t *testing.T) {
 		got  func() (string, error)
 		want string
 	}{
-		{"predict", predict.hash, "sha256:5075bd4abcf14192c577f92fa4656b6ff1770e091b263ba3fe9b07df4e1671a9"},
-		{"simulate", simulate.hash, "sha256:5e2279015da3cec015a7a6ae5096df32f321e3699ab468d60a23bb6c64dd4955"},
-		{"sweep", sweep.hash, "sha256:161a21697db35546f1d8472c3302307272815a79013fc2c5dfb747310729e856"},
+		{"predict", func() (string, error) { return kindHash("predict", predict) }, "sha256:5075bd4abcf14192c577f92fa4656b6ff1770e091b263ba3fe9b07df4e1671a9"},
+		{"simulate", func() (string, error) { return kindHash("simulate", simulate) }, "sha256:5e2279015da3cec015a7a6ae5096df32f321e3699ab468d60a23bb6c64dd4955"},
+		{"sweep", func() (string, error) { return kindHash("sweep", sweep) }, "sha256:161a21697db35546f1d8472c3302307272815a79013fc2c5dfb747310729e856"},
 	}
 	for _, c := range cases {
 		h, err := c.got()
@@ -413,11 +419,11 @@ func TestGoldenWireHashes(t *testing.T) {
 		Topo: TopoSpec{Kind: "star", N: 4}, Routing: "enbc", V: 4, MsgLen: 16, Rate: 0.01,
 		BufCap: 2, Seed: 1, Warmup: 500, Measure: 2000, Drain: 120000,
 	}.withDefaults()
-	he, err := explicit.hash()
+	he, err := kindHash("simulate", explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := simulate.hash()
+	hs, err := kindHash("simulate", simulate)
 	if err != nil {
 		t.Fatal(err)
 	}
