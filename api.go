@@ -196,7 +196,9 @@ func NewStarPaths(n int) (*model.StarPaths, error) { return model.NewStarPaths(n
 // NewCubePaths builds the hypercube path structure.
 func NewCubePaths(m int) (*model.CubePaths, error) { return model.NewCubePaths(m) }
 
-// NewTorusPaths builds the k-ary n-cube path structure.
+// NewTorusPaths returns the k-ary n-cube path structure, shared per
+// (k, n). Tori beyond k = 64, n = 8 or 255 destination classes,
+// C(k/2+n, n) − 1, are rejected with ErrInvalidConfig.
 func NewTorusPaths(k, n int) (*model.TorusPaths, error) { return model.NewTorusPaths(k, n) }
 
 // Predict evaluates the analytical latency model.

@@ -290,15 +290,10 @@ func (e *APIError) Temporary() bool {
 	return false
 }
 
-// errorEnvelope mirrors the server's error body. Error is raw because
-// two generations of the wire contract share the "error" key: the v1
-// envelope nests an object ({"error":{"class","message",...}}), the
-// pre-PR-8 shape held the message as a string with class alongside.
-// The client decodes both, so it can talk to one release older
-// servers during a rolling upgrade.
+// errorEnvelope mirrors the server's v1 error body,
+// {"error":{"class","message","retry_after_ms"}}.
 type errorEnvelope struct {
-	Error json.RawMessage `json:"error"`
-	Class string          `json:"class"` // legacy flat shape only
+	Error *wireError `json:"error"`
 }
 
 // wireError is the nested object of the v1 envelope.
@@ -497,28 +492,19 @@ func parseRetryAfter(h http.Header) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// decodeAPIError maps a non-2xx body to an *APIError: the v1 nested
-// envelope first, the legacy flat shape second, tolerating non-JSON
-// bodies from intermediaries. A v1 retry_after_ms seeds the retry
-// schedule (the Retry-After header, when present, overrides it with
-// the server's coarser but authoritative figure).
+// decodeAPIError maps a non-2xx body to an *APIError, tolerating
+// non-JSON bodies from intermediaries. A v1 retry_after_ms seeds the
+// retry schedule (the Retry-After header, when present, overrides it
+// with the server's coarser but authoritative figure).
 func decodeAPIError(status int, body []byte) *APIError {
 	var env errorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || len(env.Error) == 0 {
+	if err := json.Unmarshal(body, &env); err != nil || env.Error == nil || env.Error.Class == "" {
 		return &APIError{Status: status, Class: "unknown", Message: strings.TrimSpace(string(body))}
 	}
-	var nested wireError
-	if err := json.Unmarshal(env.Error, &nested); err == nil && nested.Class != "" {
-		return &APIError{
-			Status: status, Class: nested.Class, Message: nested.Message,
-			retryAfter: time.Duration(nested.RetryAfterMS) * time.Millisecond,
-		}
+	return &APIError{
+		Status: status, Class: env.Error.Class, Message: env.Error.Message,
+		retryAfter: time.Duration(env.Error.RetryAfterMS) * time.Millisecond,
 	}
-	var legacy string
-	if err := json.Unmarshal(env.Error, &legacy); err == nil && legacy != "" {
-		return &APIError{Status: status, Class: env.Class, Message: legacy}
-	}
-	return &APIError{Status: status, Class: "unknown", Message: strings.TrimSpace(string(body))}
 }
 
 // Health checks GET /healthz.

@@ -1,9 +1,9 @@
 package client
 
-// Decoding tests for the v1 error envelope (and its legacy
-// predecessor): non-2xx bodies become *APIError, invalid_config maps
-// onto the ErrConfig sentinel, and retry_after_ms seeds the retry
-// schedule when the Retry-After header is absent.
+// Decoding tests for the v1 error envelope: non-2xx bodies become
+// *APIError, invalid_config maps onto the ErrConfig sentinel, and
+// retry_after_ms seeds the retry schedule when the Retry-After header
+// is absent.
 
 import (
 	"context"
@@ -27,15 +27,6 @@ func TestDecodeV1Envelope(t *testing.T) {
 	}
 	if !e.Temporary() {
 		t.Fatal("429 queue_full not temporary")
-	}
-}
-
-// TestDecodeLegacyEnvelope: the pre-PR-8 flat shape still decodes, so
-// the client can talk to one release older servers.
-func TestDecodeLegacyEnvelope(t *testing.T) {
-	e := decodeAPIError(400, []byte(`{"error":"bad topo","class":"invalid_config"}`))
-	if e.Class != "invalid_config" || e.Message != "bad topo" {
-		t.Fatalf("decoded %+v", e)
 	}
 }
 

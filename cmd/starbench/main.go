@@ -25,8 +25,9 @@
 //	go run ./cmd/starbench -suite bounds -out BENCH_bounds.json
 //
 // -suite predict measures a /v1/predict cache miss layer by layer
-// (model.Evaluate on S4–S7, the interned topology lookup, the graph
-// build a table miss pays), written to BENCH_predict.json:
+// (model.Evaluate on S4–S7 and three tori, the interned topology and
+// shared path-structure lookup, the graph build a table miss pays),
+// written to BENCH_predict.json:
 //
 //	go run ./cmd/starbench -suite predict -out BENCH_predict.json
 //

@@ -313,8 +313,8 @@ func anyPackage(string) bool { return true }
 
 // DefaultRules returns the repo's rule set with its production
 // scopes. The scopes track the blast radius of each failure mode:
-// map-order and seeded-randomness hazards invalidate simulator
-// reproducibility, float equality destabilises the model's
+// map-order and seeded-randomness hazards invalidate simulator and
+// model reproducibility, float equality destabilises the model's
 // fixed-point iteration, and the documentation rule keeps the
 // model/topology surface traceable to the paper.
 func DefaultRules() []Rule {
@@ -333,6 +333,7 @@ func DefaultRules() []Rule {
 		"starperf/internal/bounds",
 		"starperf/internal/netx",
 		"starperf/internal/soak",
+		"starperf/internal/model",
 		"starperf/client",
 	)
 	numerical := inPackages(

@@ -238,7 +238,7 @@ func TestDefaultRulesScopes(t *testing.T) {
 		{"maporder", "starperf/internal/cluster", true},
 		{"maporder", "starperf/client", true},
 		{"maporder", "starperf/internal/bounds", true},
-		{"maporder", "starperf/internal/model", false},
+		{"maporder", "starperf/internal/model", true},
 		{"floateq", "starperf/internal/model", true},
 		{"floateq", "starperf/internal/bounds", true},
 		{"floateq", "starperf/internal/desim", false},

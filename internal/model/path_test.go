@@ -10,6 +10,7 @@ import (
 
 	"starperf/internal/perm"
 	"starperf/internal/stargraph"
+	"starperf/internal/torus"
 )
 
 func TestStarPathsClasses(t *testing.T) {
@@ -246,34 +247,49 @@ func TestPlanFitsStack(t *testing.T) {
 }
 
 // TestBlockSumAllocs gates the compiled plan: BlockSum allocates
-// nothing.
+// nothing, on the star graph or the torus.
 func TestBlockSumAllocs(t *testing.T) {
 	sp, err := NewStarPaths(7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tp, err := NewTorusPaths(16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eval := func(h Hop) float64 { return 0.01 * float64(h.F) }
-	allocs := testing.AllocsPerRun(20, func() {
-		for idx := range sp.Classes() {
-			sp.BlockSum(idx, idx&1, eval)
+	for _, ps := range []PathStructure{sp, tp} {
+		allocs := testing.AllocsPerRun(20, func() {
+			for idx := range ps.Classes() {
+				ps.BlockSum(idx, idx&1, eval)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%T.BlockSum allocates %v times per sweep, want 0", ps, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("BlockSum allocates %v times per sweep, want 0", allocs)
 	}
 }
 
 // TestSharedStructuresConcurrent runs eight goroutines through one
-// StarPaths and one Graph — the sharing the server's topology table
-// relies on — and checks each sees the serial results bit for bit
-// (run under -race in CI).
+// StarPaths, one TorusPaths and their graphs — the sharing the
+// server's topology table and the shared path structures rely on —
+// and checks each sees the serial results bit for bit (run under
+// -race in CI).
 func TestSharedStructuresConcurrent(t *testing.T) {
 	sp, err := NewStarPaths(6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tp, err := NewTorusPaths(8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := stargraph.MustNew(6)
+	tg := torus.MustNew(8, 3)
 	cfg := func(i int) Config {
+		if i%2 == 1 {
+			return Config{Paths: tp, Top: tg, Kind: routing.EnhancedNbc, V: 8 + i%3, MsgLen: 32, Rate: 0.001 * float64(1+i%5)}
+		}
 		return Config{Paths: sp, Top: g, Kind: routing.EnhancedNbc, V: 6 + i%3, MsgLen: 32, Rate: 0.001 * float64(1+i%5)}
 	}
 	const workers = 8

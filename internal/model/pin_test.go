@@ -12,6 +12,8 @@ import (
 	"starperf/internal/cfgerr"
 	"starperf/internal/routing"
 	"starperf/internal/stargraph"
+	"starperf/internal/topology"
+	"starperf/internal/torus"
 )
 
 // modelGridPin is the sha256 of math.Float64bits of every Result
@@ -65,6 +67,54 @@ func TestEvaluateBitIdentityPin(t *testing.T) {
 	got := hex.EncodeToString(h.Sum(nil))
 	if points != modelGridPoints || got != modelGridPin {
 		t.Fatalf("grid of %d points hashes to %s, want %d points hashing to %s", points, got, modelGridPoints, modelGridPin)
+	}
+}
+
+// torusGridPin is the sha256 of every Result float over the grid
+// walked by TestTorusBitIdentityPin, computed on the compiled torus
+// plan. The recursive torus DP it replaced added its terms in map
+// order, so it had no stable digest; over this grid its results
+// agreed with these to within 1e-15 relative.
+const torusGridPin = "7093fed7641bdd3cc45a2b906ed21bb588bf8766b2161e3ecea0534d05ecff3f"
+
+// torusGridPoints is the number of operating points the grid visits.
+const torusGridPoints = 90
+
+// TestTorusBitIdentityPin walks T4x2, T4x3, T8x2, T8x3, T16x2 and
+// T16x3 with one VC above the routing's minimum, M = 32, every
+// BlockingModel and rates in steps of 1/8 of the channel capacity up
+// to the first saturated point, hashing the exact bits of every float
+// the evaluation returns.
+func TestTorusBitIdentityPin(t *testing.T) {
+	h := sha256.New()
+	points := 0
+	for _, kn := range [][2]int{{4, 2}, {4, 3}, {8, 2}, {8, 3}, {16, 2}, {16, 3}} {
+		tp, err := NewTorusPaths(kn[0], kn[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := torus.MustNew(kn[0], kn[1])
+		capRate := float64(g.Degree()) / g.AvgDistance()
+		v := topology.MinEscapeVCs(g.Diameter()) + 2 // one class-a VC above the minimum
+		for _, bm := range []BlockingModel{Window, PaperInsidePower, PaperOutsidePower} {
+			for k := 1; k < 8; k++ {
+				rate := float64(k) * capRate / float64(8*32)
+				res, err := Evaluate(Config{Paths: tp, Top: g, Kind: routing.EnhancedNbc,
+					V: v, MsgLen: 32, Rate: rate, Blocking: bm})
+				points++
+				hashResult(h, res)
+				if err != nil {
+					if !errors.Is(err, ErrSaturated) {
+						t.Fatalf("T%dx%d V=%d %v rate %v: %v", kn[0], kn[1], v, bm, rate, err)
+					}
+					break
+				}
+			}
+		}
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	if points != torusGridPoints || got != torusGridPin {
+		t.Fatalf("grid of %d points hashes to %s, want %d points hashing to %s", points, got, torusGridPoints, torusGridPin)
 	}
 }
 

@@ -89,13 +89,6 @@ func typeOf(p perm.Permutation) ctype {
 	return ctype{first: pt.FirstLen, others: pt.Others}
 }
 
-// transition is one class of profitable moves out of a type: mult
-// distinct generator moves each leading to a permutation of type to.
-type transition struct {
-	to   ctype
-	mult int
-}
-
 // withoutOne returns others with one occurrence of l removed,
 // preserving descending order.
 func withoutOne(others []int, l int) []int {
@@ -141,45 +134,41 @@ func withAdded(others []int, l int) []int {
 //     swapping with any position of a different non-trivial cycle
 //     (L_c moves each) merges it into the first cycle.
 //
-// The multiplicities sum to fanout(), asserted in tests.
-func (t ctype) transitions() []transition {
-	var out []transition
+// The multiplicities sum to fanout(), asserted in tests. The result
+// is sorted by successor key, the order BlockSum adds in.
+func (t ctype) transitions() []transition[ctype] {
+	var out []transition[ctype]
+	// Merging a cycle of length L leaves a first cycle of base+L:
+	// position 1 joins that cycle (base 1) or the two cycles fuse.
+	base := t.first
 	if t.first == 0 {
-		seen := map[int]int{}
-		for _, l := range t.others {
-			seen[l]++
-		}
-		for l, mu := range seen {
-			out = append(out, transition{
-				to:   ctype{first: l + 1, others: withoutOne(t.others, l)},
-				mult: mu * l,
-			})
-		}
-		sortTransitions(out)
-		return out
-	}
-	// (a) send the front symbol home
-	if t.first == 2 {
-		out = append(out, transition{to: ctype{first: 0, others: t.others}, mult: 1})
+		base = 1
 	} else {
-		out = append(out, transition{to: ctype{first: t.first - 1, others: t.others}, mult: 1})
+		// (a) send the front symbol home
+		next := t.first - 1
+		if next == 1 {
+			next = 0
+		}
+		out = append(out, transition[ctype]{to: ctype{first: next, others: t.others}, mult: 1})
 	}
-	// (b) merge another cycle into the first one
-	seen := map[int]int{}
-	for _, l := range t.others {
-		seen[l]++
-	}
-	for l, mu := range seen {
-		out = append(out, transition{
-			to:   ctype{first: t.first + l, others: withoutOne(t.others, l)},
-			mult: mu * l,
+	// (b) merge another cycle into the first one: one transition per
+	// run of equal lengths in the descending multiset
+	for i := 0; i < len(t.others); {
+		l, j := t.others[i], i+1
+		for j < len(t.others) && t.others[j] == l {
+			j++
+		}
+		out = append(out, transition[ctype]{
+			to:   ctype{first: base + l, others: withoutOne(t.others, l)},
+			mult: (j - i) * l,
 		})
+		i = j
 	}
 	sortTransitions(out)
 	return out
 }
 
-func sortTransitions(ts []transition) {
+func sortTransitions(ts []transition[ctype]) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].to.key() < ts[j].to.key() })
 }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"starperf/internal/cfgerr"
 )
@@ -15,70 +16,163 @@ import (
 // remaining offset is exactly k/2 (both ring directions are then
 // minimal). Minimal hops decrement one offset, which induces a small
 // transition system over sorted offset vectors — the same dynamic
-// program shape as the star graph's cycle types.
-type TorusPaths struct {
-	k, n      int
-	classes   []PathClass
-	vecs      [][]int
-	pathCount map[string]float64
+// program as the star graph's cycle types, compiled into the same
+// pathPlan. A *TorusPaths is read-only and safe for concurrent use.
+type TorusPaths struct{ pathPlan }
+
+// Torus sizes the model takes: the extent of the shared table, and
+// within it at most maxPlanSteps destination classes.
+const (
+	maxTorusK = 64
+	maxTorusN = 8
+)
+
+// torusPathsMemo holds the one TorusPaths per (k, n) that NewTorusPaths
+// hands out, indexed by k/2 and n. 83 sizes pass the class bound; all
+// of their plans together take about 24 MB.
+var torusPathsMemo [maxTorusK/2 + 1][maxTorusN + 1]struct {
+	once sync.Once
+	tp   *TorusPaths
 }
 
-// NewTorusPaths builds the path structure of the k-ary n-cube
-// (k even, as required by the negative-hop schemes).
+// NewTorusPaths returns the path structure of the k-ary n-cube (k
+// even, as required by the negative-hop schemes). The model takes
+// k ≤ 64, n ≤ 8 and at most maxPlanSteps destination classes,
+// C(k/2+n, n) − 1, checked in closed form before anything is built:
+// T42x2 (252 classes) is the largest 2-cube, T16x3 (164) is accepted,
+// T16x4 (494) is not. The structure is built on first use and shared
+// by every later caller.
 func NewTorusPaths(k, n int) (*TorusPaths, error) {
 	if k < 2 || k%2 != 0 || n < 1 {
 		return nil, cfgerr.Errorf("model: torus paths need even k ≥ 2 and n ≥ 1 (got k=%d n=%d)", k, n)
 	}
-	if n > 8 || k > 64 {
-		return nil, cfgerr.Errorf("model: torus k=%d n=%d too large", k, n)
+	if k > maxTorusK || n > maxTorusN {
+		return nil, cfgerr.Errorf("model: torus k=%d n=%d too large (the model takes k ≤ %d, n ≤ %d)", k, n, maxTorusK, maxTorusN)
 	}
-	tp := &TorusPaths{k: k, n: n, pathCount: make(map[string]float64)}
-	// enumerate non-increasing offset vectors of length n over [0,k/2]
-	half := k / 2
-	vec := make([]int, n)
-	var rec func(i, maxV int)
-	rec = func(i, maxV int) {
-		if i == n {
-			allZero := true
-			for _, m := range vec {
-				if m != 0 {
-					allZero = false
-					break
-				}
-			}
-			if allZero {
-				return
-			}
-			v := append([]int(nil), vec...)
-			tp.vecs = append(tp.vecs, v)
-			tp.classes = append(tp.classes, PathClass{
-				H:     sum(v),
-				Count: tp.countOf(v),
-				Label: vecKey(v),
-			})
-			return
-		}
-		for m := 0; m <= maxV; m++ {
-			vec[i] = m
-			rec(i+1, m)
-		}
-		vec[i] = 0
+	if c := torusClassCount(k/2, n); c > maxPlanSteps {
+		return nil, cfgerr.Errorf("model: torus k=%d n=%d has %d destination classes, more than the model's %d", k, n, c, maxPlanSteps)
 	}
-	rec(0, half)
-	sort.Slice(tp.classes, func(i, j int) bool {
-		if tp.classes[i].H != tp.classes[j].H {
-			return tp.classes[i].H < tp.classes[j].H
+	m := &torusPathsMemo[k/2][n]
+	m.once.Do(func() { m.tp = buildTorusPaths(k, n) })
+	return m.tp, nil
+}
+
+// torusClassCount returns C(half+n, n) − 1, the number of non-zero
+// non-increasing offset vectors of length n over [0, half]: the
+// destination classes of the (2·half)-ary n-cube.
+func torusClassCount(half, n int) int {
+	c := 1
+	for i := 1; i <= n; i++ {
+		c = c * (half + i) / i // exact: c is C(half+i−1, i−1) here
+	}
+	return c - 1
+}
+
+// buildTorusPaths enumerates the destination classes of the k-ary
+// n-cube, ordered by distance and then label, and compiles their plan.
+func buildTorusPaths(k, n int) *TorusPaths {
+	var roots []offsets
+	// Step through the non-increasing vectors over [0, k/2] in
+	// lexicographic order, skipping the all-zero start (the source
+	// itself): raise the last offset still below its predecessor (or
+	// below k/2, for the first) and zero the ones after it.
+	for m := make([]int, n); ; {
+		i := n - 1
+		for i > 0 && m[i] == m[i-1] {
+			i--
 		}
-		return tp.classes[i].Label < tp.classes[j].Label
-	})
-	// keep vecs aligned with the sorted classes
-	sort.Slice(tp.vecs, func(i, j int) bool {
-		if sum(tp.vecs[i]) != sum(tp.vecs[j]) {
-			return sum(tp.vecs[i]) < sum(tp.vecs[j])
+		if i == 0 && m[0] == k/2 {
+			break
 		}
-		return vecKey(tp.vecs[i]) < vecKey(tp.vecs[j])
+		m[i]++
+		clear(m[i+1:])
+		roots = append(roots, offsets{m: append([]int(nil), m...), half: k / 2})
+	}
+	sort.Slice(roots, func(i, j int) bool {
+		if di, dj := roots[i].dist(), roots[j].dist(); di != dj {
+			return di < dj
+		}
+		return roots[i].key() < roots[j].key()
 	})
-	return tp, nil
+	pops := make([]uint64, len(roots))
+	for i, r := range roots {
+		pops[i] = r.population()
+	}
+	return &TorusPaths{compilePlan(roots, pops)}
+}
+
+// offsets is the torus dynamic program's state: the per-dimension
+// minimal ring offsets still to travel, sorted descending, on rings
+// of radix 2·half.
+type offsets struct {
+	m    []int
+	half int
+}
+
+func (o offsets) key() string { return vecKey(o.m) }
+
+func (o offsets) dist() int { return sum(o.m) }
+
+// fanout returns the adaptivity degree of a state: one profitable
+// channel per unfinished dimension, two when the remaining offset is
+// the half-ring tie.
+func (o offsets) fanout() int {
+	f := 0
+	for _, m := range o.m {
+		switch {
+		case m == 0:
+		case m == o.half:
+			f += 2
+		default:
+			f++
+		}
+	}
+	return f
+}
+
+// transitions lists the distinct decrement moves out of the state in
+// descending order of the offset decremented: one per run of equal
+// non-zero offsets, whose mult counts the channels realising it
+// (the dimensions holding the value, doubled at the half-ring tie).
+// Decrementing the run's last dimension keeps the vector sorted.
+func (o offsets) transitions() []transition[offsets] {
+	var out []transition[offsets]
+	for i := 0; i < len(o.m) && o.m[i] > 0; {
+		v, j := o.m[i], i+1
+		for j < len(o.m) && o.m[j] == v {
+			j++
+		}
+		ways := j - i
+		if v == o.half {
+			ways *= 2
+		}
+		child := append([]int(nil), o.m...)
+		child[j-1]--
+		out = append(out, transition[offsets]{to: offsets{m: child, half: o.half}, mult: ways})
+		i = j
+	}
+	return out
+}
+
+// population returns the number of destinations with this offset
+// vector: the number of ways to assign the offsets to dimensions
+// (multinomial over runs of equal values) times, per dimension, the
+// number of ring digits realising that minimal offset (one for 0 and
+// k/2, two otherwise).
+func (o offsets) population() uint64 {
+	ways := factF(len(o.m))
+	for i := 0; i < len(o.m); {
+		j := i + 1
+		for j < len(o.m) && o.m[j] == o.m[i] {
+			j++
+		}
+		ways /= factF(j - i)
+		if o.m[i] != 0 && o.m[i] != o.half {
+			ways *= float64(uint64(1) << (j - i))
+		}
+		i = j
+	}
+	return uint64(ways + 0.5)
 }
 
 func sum(v []int) int {
@@ -99,128 +193,3 @@ func vecKey(v []int) string {
 	}
 	return b.String()
 }
-
-// countOf returns the number of destinations with this sorted offset
-// vector: the number of ways to assign the offsets to dimensions
-// (multinomial over repeated values) times, per dimension, the number
-// of ring digits realising that minimal offset (one for 0 and k/2,
-// two otherwise).
-func (tp *TorusPaths) countOf(v []int) uint64 {
-	half := tp.k / 2
-	assign := factF(tp.n)
-	mult := map[int]int{}
-	digits := 1.0
-	for _, m := range v {
-		mult[m]++
-		if m != 0 && m != half {
-			digits *= 2
-		}
-	}
-	for _, c := range mult {
-		assign /= factF(c)
-	}
-	return uint64(assign*digits + 0.5)
-}
-
-// Classes implements PathStructure.
-func (tp *TorusPaths) Classes() []PathClass { return tp.classes }
-
-// fanout returns the adaptivity degree of a state: one profitable
-// channel per unfinished dimension, two when the remaining offset is
-// the half-ring tie.
-func (tp *TorusPaths) fanout(v []int) int {
-	half := tp.k / 2
-	f := 0
-	for _, m := range v {
-		switch {
-		case m == 0:
-		case m == half:
-			f += 2
-		default:
-			f++
-		}
-	}
-	return f
-}
-
-// paths counts minimal paths from a state, memoised.
-func (tp *TorusPaths) paths(v []int) float64 {
-	if sum(v) == 0 {
-		return 1
-	}
-	key := vecKey(v)
-	if c, ok := tp.pathCount[key]; ok {
-		return c
-	}
-	var total float64
-	tp.eachTransition(v, func(mult int, child []int) {
-		total += float64(mult) * tp.paths(child)
-	})
-	tp.pathCount[key] = total
-	return total
-}
-
-// eachTransition visits the distinct decrement moves out of state v:
-// for each distinct non-zero offset value, decrementing one dimension
-// holding it. mult counts the generator channels realising the move
-// (dimensions holding the value, doubled at the half-ring tie).
-func (tp *TorusPaths) eachTransition(v []int, fn func(mult int, child []int)) {
-	half := tp.k / 2
-	seen := map[int]int{}
-	for _, m := range v {
-		if m > 0 {
-			seen[m]++
-		}
-	}
-	for m, c := range seen {
-		ways := c
-		if m == half {
-			ways = 2 * c
-		}
-		child := append([]int(nil), v...)
-		for i, x := range child {
-			if x == m {
-				child[i] = m - 1
-				break
-			}
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(child)))
-		fn(ways, child)
-	}
-}
-
-// BlockSum implements PathStructure by the same uniform-over-paths
-// dynamic program as StarPaths.
-func (tp *TorusPaths) BlockSum(idx, c0 int, eval HopEvaluator) float64 {
-	start := tp.vecs[idx]
-	h0 := sum(start)
-	memo := make(map[string]float64)
-	var rec func(v []int) float64
-	rec = func(v []int) float64 {
-		d := sum(v)
-		if d == 0 {
-			return 0
-		}
-		key := vecKey(v)
-		if r, ok := memo[key]; ok {
-			return r
-		}
-		k := h0 - d + 1
-		s := eval(Hop{
-			F:        tp.fanout(v),
-			D:        d,
-			NegTaken: negsAfter(c0, k-1),
-			HopNeg:   hopNegAt(c0, k),
-		})
-		total := tp.paths(v)
-		tp.eachTransition(v, func(mult int, child []int) {
-			s += float64(mult) * tp.paths(child) / total * rec(child)
-		})
-		memo[key] = s
-		return s
-	}
-	return rec(start)
-}
-
-// NumPaths exposes the minimal-path count of a class.
-func (tp *TorusPaths) NumPaths(idx int) float64 { return tp.paths(tp.vecs[idx]) }

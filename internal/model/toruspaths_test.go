@@ -1,9 +1,11 @@
 package model
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"starperf/internal/cfgerr"
 	"starperf/internal/routing"
 	"starperf/internal/torus"
 )
@@ -32,6 +34,73 @@ func TestTorusClassesPopulation(t *testing.T) {
 	}
 	if _, err := NewTorusPaths(4, 0); err == nil {
 		t.Fatal("n=0 accepted")
+	}
+}
+
+// TestTorusSizeBound: NewTorusPaths admits at most maxPlanSteps
+// destination classes, C(k/2+n, n) − 1, rejecting larger tori with a
+// cfgerr before enumerating anything, and hands out one shared
+// instance per (k, n) whose plans fit BlockSum's stack array.
+func TestTorusSizeBound(t *testing.T) {
+	tp, err := NewTorusPaths(42, 2)
+	if err != nil {
+		t.Fatalf("T42x2: %v", err)
+	}
+	if got := len(tp.Classes()); got != 252 {
+		t.Fatalf("T42x2 has %d classes, want 252", got)
+	}
+	for _, kn := range [][2]int{{44, 2}, {64, 2}, {16, 4}, {32, 3}, {64, 8}, {66, 1}, {4, 9}} {
+		_, err := NewTorusPaths(kn[0], kn[1])
+		if !errors.Is(err, cfgerr.ErrInvalid) {
+			t.Fatalf("T%dx%d: %v, want a configuration error", kn[0], kn[1], err)
+		}
+	}
+	if got := torusClassCount(22, 2); got != 275 {
+		t.Fatalf("T44x2 class count %d, want 275", got)
+	}
+	accepted := 0
+	for k := 2; k <= maxTorusK; k += 2 {
+		for n := 1; n <= maxTorusN; n++ {
+			tp, err := NewTorusPaths(k, n)
+			if err != nil {
+				continue
+			}
+			accepted++
+			if len(tp.Classes()) != torusClassCount(k/2, n) {
+				t.Fatalf("T%dx%d: %d classes, closed form says %d", k, n, len(tp.Classes()), torusClassCount(k/2, n))
+			}
+			for idx, p := range tp.plans {
+				if steps := int(p.hi - p.lo); steps > maxPlanSteps {
+					t.Fatalf("T%dx%d class %s: %d steps > %d", k, n, tp.classes[idx].Label, steps, maxPlanSteps)
+				}
+			}
+			if again, _ := NewTorusPaths(k, n); again != tp {
+				t.Fatalf("T%dx%d built twice", k, n)
+			}
+		}
+	}
+	if accepted != 83 {
+		t.Fatalf("%d torus sizes accepted, want 83", accepted)
+	}
+}
+
+// TestTorusBlockSumRepeatable: the compiled plan adds its terms in a
+// fixed order, so repeated BlockSum calls return the same bits.
+func TestTorusBlockSumRepeatable(t *testing.T) {
+	tp, err := NewTorusPaths(8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := func(h Hop) float64 { return 0.1 / float64(h.F+h.D) }
+	for idx, c := range tp.Classes() {
+		for c0 := 0; c0 <= 1; c0++ {
+			first := math.Float64bits(tp.BlockSum(idx, c0, eval))
+			for rep := 1; rep < 200; rep++ {
+				if got := math.Float64bits(tp.BlockSum(idx, c0, eval)); got != first {
+					t.Fatalf("class %s c0=%d: call %d returned %x, call 0 %x", c.Label, c0, rep, got, first)
+				}
+			}
+		}
 	}
 }
 

@@ -96,15 +96,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var req batchRequest
 	if err := decodeRequest(raw, &req); err != nil {
-		s.writeErr(w, r, err)
+		s.writeErr(w, err)
 		return
 	}
 	if len(req.Items) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, classInvalidConfig, "batch has no items", noRetry)
+		s.writeError(w, http.StatusBadRequest, classInvalidConfig, "batch has no items", noRetry)
 		return
 	}
 	if len(req.Items) > maxBatchItems {
-		s.writeError(w, r, http.StatusBadRequest, classInvalidConfig,
+		s.writeError(w, http.StatusBadRequest, classInvalidConfig,
 			fmt.Sprintf("batch has %d items, limit %d", len(req.Items), maxBatchItems), noRetry)
 		return
 	}
@@ -113,7 +113,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// whole request up front (503 read_only) rather than accepting
 	// items it cannot make durable.
 	if s.journalReadOnly() {
-		s.refuseReadOnly(w, r)
+		s.refuseReadOnly(w)
 		return
 	}
 	s.observeBatch(len(req.Items))

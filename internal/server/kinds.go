@@ -153,7 +153,7 @@ func (s *Server) handleKind(k *jobKind) http.HandlerFunc {
 		}
 		j, err := k.prepare(s, raw, decodeRequest)
 		if err != nil {
-			s.writeErr(w, r, err)
+			s.writeErr(w, err)
 			return
 		}
 		if k.sync {
@@ -170,12 +170,12 @@ func (s *Server) handleKind(k *jobKind) http.HandlerFunc {
 		}
 		fn := s.runAndStore(j.id, j.req)
 		if !k.sync {
-			s.submitAsync(w, r, j.id, j.meta, fn)
+			s.submitAsync(w, j.id, j.meta, fn)
 			return
 		}
 		v, err := s.pool.DoMeta(r.Context(), j.id, j.meta, fn)
 		if err != nil {
-			s.writeErr(w, r, err)
+			s.writeErr(w, err)
 			return
 		}
 		s.writeResult(w, j.id, "miss", v.([]byte))

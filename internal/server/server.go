@@ -265,7 +265,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
 		default:
-			s.writeError(w, r, http.StatusServiceUnavailable,
+			s.writeError(w, http.StatusServiceUnavailable,
 				classQueueFull, "server at concurrency cap", s.queueWait())
 			return
 		}
@@ -299,7 +299,7 @@ func (s *Server) guard(k *jobKind, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if est, deadline := s.estWait(k.name), s.requestDeadline(r); est > deadline {
 			s.shed.Add(1)
-			s.writeError(w, r, http.StatusTooManyRequests, classQueueFull,
+			s.writeError(w, http.StatusTooManyRequests, classQueueFull,
 				fmt.Sprintf("estimated queue wait %s exceeds request deadline %s",
 					est.Round(time.Millisecond), deadline.Round(time.Millisecond)),
 				est)
@@ -307,7 +307,7 @@ func (s *Server) guard(k *jobKind, h http.HandlerFunc) http.HandlerFunc {
 		}
 		ok, wait := s.breakers.allow(route)
 		if !ok {
-			s.writeError(w, r, http.StatusServiceUnavailable, classQueueFull,
+			s.writeError(w, http.StatusServiceUnavailable, classQueueFull,
 				"circuit breaker open for "+route, wait)
 			return
 		}
@@ -342,11 +342,11 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.writeError(w, r, http.StatusRequestEntityTooLarge, classInvalidConfig,
+			s.writeError(w, http.StatusRequestEntityTooLarge, classInvalidConfig,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), noRetry)
 			return nil, false
 		}
-		s.writeError(w, r, http.StatusBadRequest, classInvalidConfig,
+		s.writeError(w, http.StatusBadRequest, classInvalidConfig,
 			"reading request: "+err.Error(), noRetry)
 		return nil, false
 	}
@@ -355,13 +355,13 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 
 // writeErr maps a computation or submission error onto the wire via
 // classifyErr.
-func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, err error) {
+func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	status, we := s.classifyErr(err)
 	retry := noRetry
 	if we.RetryAfterMS > 0 {
 		retry = time.Duration(we.RetryAfterMS) * time.Millisecond
 	}
-	s.writeError(w, r, status, we.Class, we.Message, retry)
+	s.writeError(w, status, we.Class, we.Message, retry)
 }
 
 // classifyErr maps an error onto the v1 wire contract: status code
@@ -474,13 +474,13 @@ func (s *Server) journalReadOnly() bool {
 // refuseReadOnly emits the read-only 503: the v1 envelope with the
 // read_only class and a retry hint sized to the probe interval — the
 // soonest a retry could observe a recovered disk.
-func (s *Server) refuseReadOnly(w http.ResponseWriter, r *http.Request) {
+func (s *Server) refuseReadOnly(w http.ResponseWriter) {
 	s.readOnly503.Add(1)
 	retry := s.probeEvery
 	if retry < time.Second {
 		retry = time.Second
 	}
-	s.writeError(w, r, http.StatusServiceUnavailable, classReadOnly,
+	s.writeError(w, http.StatusServiceUnavailable, classReadOnly,
 		"journal is read-only (disk full): async submissions refused until space returns", retry)
 }
 
@@ -490,18 +490,18 @@ func (s *Server) refuseReadOnly(w http.ResponseWriter, r *http.Request) {
 // caller polls GET /v1/jobs/{id}. A read-only journal refuses the
 // submit instead: a 202 is a durability promise this node currently
 // cannot keep.
-func (s *Server) submitAsync(w http.ResponseWriter, r *http.Request, id string, meta jobs.Meta, fn jobs.Func) {
+func (s *Server) submitAsync(w http.ResponseWriter, id string, meta jobs.Meta, fn jobs.Func) {
 	if s.cache.Contains(id) {
 		s.writeJSON(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone})
 		return
 	}
 	if s.journalReadOnly() {
-		s.refuseReadOnly(w, r)
+		s.refuseReadOnly(w)
 		return
 	}
 	j, err := s.pool.SubmitMeta(id, meta, fn)
 	if err != nil {
-		s.writeErr(w, r, err)
+		s.writeErr(w, err)
 		return
 	}
 	s.writeJSON(w, http.StatusAccepted, jobBody{ID: id, Status: j.Status()})
@@ -525,14 +525,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		if s.clusterJobLookup(w, r, id) {
 			return
 		}
-		s.writeError(w, r, http.StatusNotFound, classUnreachable, "unknown job "+id, noRetry)
+		s.writeError(w, http.StatusNotFound, classUnreachable, "unknown job "+id, noRetry)
 		return
 	}
 	switch j.Status() {
 	case jobs.StatusDone:
 		v, err := j.Result()
 		if err != nil {
-			s.writeErr(w, r, err)
+			s.writeErr(w, err)
 			return
 		}
 		body := v.([]byte)

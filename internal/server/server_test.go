@@ -132,6 +132,14 @@ func TestPredictErrors(t *testing.T) {
 		t.Fatalf("bad topology: %d %s", resp.StatusCode, body)
 	}
 
+	// T64x8 has 76.9 M destination classes: rejected from the closed-form
+	// class count before any path structure is built.
+	resp = postJSON(t, ts.URL+"/v1/predict", `{"topo":{"kind":"torus","k":64,"dim":8},"v":40,"msg_len":16,"rate":0.0001}`)
+	body = readBody(t, resp)
+	if resp.StatusCode != 400 || !bytes.Contains(body, []byte("invalid_config")) {
+		t.Fatalf("oversized torus: %d %s", resp.StatusCode, body)
+	}
+
 	resp = postJSON(t, ts.URL+"/v1/predict", `{"topo":{"kind":"star","n":4},"vee":4}`)
 	body = readBody(t, resp)
 	if resp.StatusCode != 400 || !bytes.Contains(body, []byte("invalid_config")) {

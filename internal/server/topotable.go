@@ -25,7 +25,9 @@ type topoEntry struct {
 // evaluate against: a byte-bounded LRU keyed by TopoSpec. Every
 // topology is read-only after construction, so concurrent requests
 // share them freely. The model's path structures need no table:
-// model.NewStarPaths already shares one instance per n.
+// model.NewStarPaths shares one instance per n and model.NewTorusPaths
+// one per (k, n); hypercube paths are closed-form and built per
+// request.
 type topoTable struct {
 	mu     sync.Mutex
 	budget int64

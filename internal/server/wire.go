@@ -31,12 +31,9 @@ package server
 //	internal        everything else. 500.
 //
 // retry_after_ms is present only on queue_full responses (mirroring
-// the Retry-After header, at millisecond resolution). The pre-PR-8
-// plain-text message body is available for one release behind
-// ?compat=text.
+// the Retry-After header, at millisecond resolution).
 
 import (
-	"fmt"
 	"net/http"
 	"time"
 )
@@ -74,17 +71,10 @@ const noRetry time.Duration = -1
 // writeError emits one non-2xx response in the v1 envelope. A
 // non-negative retryAfter sets the Retry-After header (whole seconds,
 // minimum 1 — setRetryAfter) and the envelope's retry_after_ms
-// (minimum 1 ms). ?compat=text downgrades the body to the bare
-// message as text/plain.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, class, message string, retryAfter time.Duration) {
+// (minimum 1 ms).
+func (s *Server) writeError(w http.ResponseWriter, status int, class, message string, retryAfter time.Duration) {
 	if retryAfter >= 0 {
 		setRetryAfter(w, retryAfter)
-	}
-	if r != nil && r.URL.Query().Get("compat") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(status)
-		fmt.Fprintln(w, message)
-		return
 	}
 	body := errorBody{Error: wireError{Class: class, Message: message}}
 	if retryAfter >= 0 {
